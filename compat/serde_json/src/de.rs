@@ -2,6 +2,10 @@
 
 use crate::{Error, FromJson, Map, Value};
 
+/// Deepest array/object nesting the parser accepts (serde_json's default
+/// recursion limit). Deeper input is an error, not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 pub fn from_str<T: FromJson>(s: &str) -> Result<T, Error> {
     let mut p = Parser::new(s);
     p.skip_ws();
@@ -16,6 +20,8 @@ pub fn from_str<T: FromJson>(s: &str) -> Result<T, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -23,6 +29,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -71,8 +78,11 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err("recursion limit exceeded"))
+            }
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
@@ -81,6 +91,14 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one nesting level down.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn parse_keyword(&mut self, kw: &str, v: Value) -> Result<Value, Error> {

@@ -561,6 +561,17 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_capped_at_the_recursion_limit() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let v: Value = from_str(&nested(de::MAX_DEPTH)).unwrap();
+        assert!(v.as_array().is_some());
+        let err = from_str::<Value>(&nested(de::MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // Far past the cap the parser still errors instead of overflowing.
+        assert!(from_str::<Value>(&"[{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
     fn map_collect_compiles_like_serde_json() {
         let m: Map<_, _> = vec![("k".to_string(), Value::Int(1))].into_iter().collect();
         assert_eq!(json!({"k": 1}), Value::Object(m));

@@ -134,9 +134,10 @@ impl<E: EventPayload> Kernel<E> {
         })
     }
 
-    /// Timestamp of the earliest pending event.
-    pub fn peek_time(&mut self) -> Option<f64> {
-        self.queue.peek_time()
+    /// The earliest pending event's timestamp and payload, without firing
+    /// it.
+    pub fn peek(&mut self) -> Option<(f64, &E)> {
+        self.queue.peek()
     }
 
     /// Number of pending events.
@@ -152,11 +153,6 @@ impl<E: EventPayload> Kernel<E> {
     /// The named RNG stream (created on first use; see [`StreamRngs`]).
     pub fn rng(&mut self, stream: &str) -> &mut ChaCha8Rng {
         self.rngs.stream(stream)
-    }
-
-    /// Explicitly seeds (or reseeds) a named RNG stream.
-    pub fn seed_stream(&mut self, stream: &str, seed: u64) {
-        self.rngs.seed_stream(stream, seed);
     }
 }
 

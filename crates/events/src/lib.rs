@@ -18,7 +18,7 @@
 //! * **Stream-independent randomness.** [`Kernel::rng`] hands out named
 //!   ChaCha8 streams, each seeded from `(master seed, stream name)`. Adding
 //!   an event source that draws from stream `"failure"` never perturbs the
-//!   draws of stream `"engine"` — unlike a single shared RNG, where any new
+//!   draws of any other stream — unlike a single shared RNG, where any new
 //!   consumer shifts every subsequent draw.
 //! * **Cheap cancellation.** [`Kernel::cancel`] is O(log n)-amortized lazy
 //!   deletion: cancelled entries are skipped at pop time. Timers are

@@ -108,18 +108,15 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Timestamp of the earliest live entry, if any.
-    pub fn peek_time(&mut self) -> Option<f64> {
+    /// Timestamp and payload of the earliest live entry, if any.
+    pub fn peek(&mut self) -> Option<(f64, &E)> {
         while let Some(e) = self.heap.peek() {
-            if self.cancelled.contains(&e.seq) {
-                let seq = e.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-                continue;
+            if !self.cancelled.remove(&e.seq) {
+                break;
             }
-            return Some(e.time);
+            self.heap.pop();
         }
-        None
+        self.heap.peek().map(|e| (e.time, &e.payload))
     }
 
     /// Number of live (non-cancelled) entries.
@@ -177,12 +174,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_skips_cancelled() {
+    fn peek_skips_cancelled() {
         let mut q = EventQueue::new();
         q.push(1.0, 0, 0, "x");
         q.push(4.0, 0, 1, "y");
         q.cancel(0);
-        assert_eq!(q.peek_time(), Some(4.0));
+        assert_eq!(q.peek(), Some((4.0, &"y")));
         assert_eq!(q.pop(), Some((4.0, 1, "y")));
     }
 }

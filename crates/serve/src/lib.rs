@@ -1,7 +1,7 @@
 //! The Sia scheduling daemon.
 //!
-//! `sia-serve` wraps the steppable round engine ([`sia_sim::SimDriver`])
-//! in a long-running service: a JSONL command stream (stdin or a Unix
+//! `sia-serve` wraps the simulation engine ([`sia_sim::SimDriver`], the
+//! same driver batch runs preload) in a long-running service: a JSONL command stream (stdin or a Unix
 //! socket) carries `submit` / `cancel` / `query` / `snapshot` / `shutdown`
 //! requests, each tagged with a client-supplied request id, and the daemon
 //! answers with JSONL responses and lifecycle events (`admitted`,

@@ -11,11 +11,12 @@
 use std::collections::BTreeMap;
 
 use serde_json::{json, Value};
+use sia_cluster::ClusterView;
 use sia_workloads::JobSpec;
 
 /// Typed rejection: which stage refused and a stable reason label
-/// (`invalid-spec`, `duplicate-id`, `queue-full`, `zero-quota`,
-/// `quota-exceeded`), optionally followed by `: detail`.
+/// (`invalid-spec`, `duplicate-id`, `unschedulable`, `queue-full`,
+/// `zero-quota`, `quota-exceeded`), optionally followed by `: detail`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rejection {
     /// Name of the stage that refused.
@@ -51,6 +52,8 @@ pub struct AdmissionContext<'a> {
     pub pending: usize,
     /// True when the submitted job id is already taken.
     pub duplicate_id: bool,
+    /// The capacity the scheduler places jobs on.
+    pub cluster: &'a ClusterView,
 }
 
 /// One stage of the admission pipeline.
@@ -61,7 +64,8 @@ pub trait AdmissionStage {
     fn check(&self, ctx: &AdmissionContext<'_>, ledger: &QuotaLedger) -> Result<(), Rejection>;
 }
 
-/// Schema validation: the spec must be internally consistent before any
+/// Schema validation: the spec must be internally consistent, and its
+/// minimum GPU count must fit on one GPU type of the cluster, before any
 /// resource accounting happens.
 #[derive(Debug, Default)]
 pub struct SchemaStage;
@@ -101,6 +105,23 @@ impl AdmissionStage for SchemaStage {
             return Err(Rejection::new(
                 self.name(),
                 "invalid-spec: submit_time must be finite and non-negative",
+            ));
+        }
+        // Placements never mix GPU types, so a job larger than every type's
+        // active capacity would wait forever.
+        let cluster = ctx.cluster;
+        let largest = cluster
+            .gpu_types()
+            .map(|t| cluster.gpus_of_type(t))
+            .max()
+            .unwrap_or(0);
+        if j.min_gpus > largest {
+            return Err(Rejection::new(
+                self.name(),
+                format!(
+                    "unschedulable: min_gpus {} exceeds the largest GPU type ({largest} active GPUs)",
+                    j.min_gpus
+                ),
             ));
         }
         Ok(())

@@ -8,7 +8,9 @@ use std::time::{Duration, Instant};
 
 use serde_json::{json, Value};
 use sia_cluster::{ClusterSpec, JobId};
-use sia_sim::{CancelOutcome, RoundOutcome, Scheduler, SimConfig, SimDriver, SimResult};
+use sia_sim::{
+    CancelOutcome, RoundOutcome, Scheduler, SimConfig, SimDriver, SimResult, SnapshotRefusal,
+};
 
 use crate::observe::{self, Observe};
 use crate::protocol::{parse_request, Command};
@@ -335,8 +337,8 @@ impl Server {
 
     /// The full daemon state as a snapshot payload (driver state plus the
     /// service layer: ledger balances, per-job origin bookkeeping,
-    /// request counters).
-    pub fn snapshot_payload(&self) -> Value {
+    /// request counters), or why the driver's state cannot be captured.
+    pub fn snapshot_payload(&self) -> Result<Value, SnapshotRefusal> {
         let jobs: serde_json::Map = self
             .meta
             .iter()
@@ -351,8 +353,8 @@ impl Server {
                 )
             })
             .collect();
-        json!({
-            "driver": self.driver.snapshot(self.sched.as_ref()),
+        Ok(json!({
+            "driver": self.driver.snapshot(self.sched.as_ref())?,
             "serve": {
                 "ledger": self.ledger.to_json(),
                 "jobs": Value::Object(jobs),
@@ -363,7 +365,7 @@ impl Server {
                     "cancelled": self.stats.cancelled,
                 },
             },
-        })
+        }))
     }
 
     /// Advances virtual time to `t`, returning the lifecycle events of
@@ -455,6 +457,7 @@ impl Server {
                     charge_gpu_hours: gpu_hours,
                     pending: self.driver.pending_count(),
                     duplicate_id: self.meta.contains_key(&job.id.0),
+                    cluster: self.driver.cluster(),
                 };
                 let verdict = self.stages.iter().try_for_each(|s| {
                     let stage_t0 = Instant::now();
@@ -562,7 +565,11 @@ impl Server {
                 "submitted": self.stats.submitted, "admitted": self.stats.admitted,
                 "rejected": self.stats.rejected, "cancelled": self.stats.cancelled,
             })),
-            Command::Snapshot { path } => match write_snapshot(&path, &self.snapshot_payload()) {
+            Command::Snapshot { path } => match self
+                .snapshot_payload()
+                .map_err(|e| e.to_string())
+                .and_then(|p| write_snapshot(&path, &p).map_err(|e| e.to_string()))
+            {
                 Ok(()) => {
                     observe::record_snapshot();
                     out.push(json!({
@@ -608,17 +615,17 @@ impl Server {
     fn events_for(&self, outs: &[RoundOutcome]) -> Vec<Value> {
         let mut ev = Vec::new();
         for o in outs {
-            for id in &o.changed {
-                match o.allocations.iter().find(|(j, _, _)| j == id) {
-                    Some(&(_, t, gpus)) => ev.push(json!({
+            for &(id, alloc) in &o.changed {
+                ev.push(match alloc {
+                    Some((t, gpus)) => json!({
                         "event": "allocated", "id": self.origin(id.0), "job": id.0,
                         "t": o.time, "gpu_type": t.0, "gpus": gpus,
-                    })),
-                    None => ev.push(json!({
+                    }),
+                    None => json!({
                         "event": "preempted", "id": self.origin(id.0), "job": id.0,
                         "t": o.time,
-                    })),
-                }
+                    }),
+                });
             }
             for &(id, t) in &o.completed {
                 ev.push(json!({

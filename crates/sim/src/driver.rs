@@ -1,22 +1,58 @@
-//! Incremental stepping driver over the round-engine semantics.
+//! The simulation core: one steppable driver on the `sia-events` kernel.
 //!
-//! [`Simulator::run_round`] executes a whole trace in one call; a long-running
-//! daemon instead needs to *step* the simulation — admit jobs as they arrive
-//! on a command stream, advance virtual time round by round, snapshot the
-//! full scheduler state and resume from it bit-identically. [`SimDriver`]
-//! owns exactly the state the round engine keeps between loop iterations
-//! (jobs, pending arrivals, RNG, recorders, capacity view, audit cursor) and
-//! replays the engine's loop body verbatim per [`SimDriver::step_round`]:
-//! same RNG draw order, same flight-recorder and audit records. Driving a
-//! pre-loaded submission queue with [`SimDriver::run_to_idle`] therefore
-//! produces a canonical flight trace byte-identical to both engines' output.
+//! [`SimDriver`] owns everything a run evolves — jobs, the submission
+//! queue, the kernel (clock, pending events, failure stream), the engine RNG
+//! stream, both recorders, the capacity view and the audit cursor — and
+//! runs the one round body (admit → schedule → apply → execute) whenever
+//! the kernel's round timer fires. A batch run ([`Simulator::run`]) is a
+//! driver preloaded with the whole trace and run with
+//! [`SimDriver::run_to_idle`]; the daemon submits jobs as requests arrive
+//! and paces the clock with [`SimDriver::step_until`]. Both run the same
+//! code, so the same submissions give the same canonical streams.
 //!
-//! Capacity dynamics are deliberately out of scope: the daemon mutates the
-//! job set, not the cluster, and excluding dynamics keeps snapshots closed
-//! under the state enumerated here ([`SimDriver::new`] asserts the config
-//! carries no script).
+//! Between round boundaries the kernel fires exact-time events:
+//!
+//! - `Completion` — the instant a job's remaining work hits zero,
+//! - `Failure` — a worker failure, sampled as an exponential inter-arrival
+//!   process per placement,
+//! - `RestartDone` — the instant a job finishes paying its checkpoint
+//!   restore and resumes useful work,
+//! - `Dynamics` — scripted capacity changes falling due,
+//! - `RoundTimer` — the scheduling round. It recurs while some job is
+//!   runnable, goes dormant when none is, and is re-armed for the first
+//!   boundary at or after the next pending submission (or a failure that
+//!   revives a finishing job), so idle spans are skipped.
+//!
+//! Same-timestamp causality is encoded in event priorities: completions,
+//! failures, restores and capacity changes at a boundary are all observed
+//! before that boundary's round. Submissions wait in a queue sorted by
+//! (submit time, submission order) and are admitted at the first round
+//! boundary at or after their submit time, before the round schedules.
+//!
+//! ## Determinism
+//!
+//! All scheduler-visible noise (bootstrap profiles, restart jitter,
+//! execution jitter, executor reports) is drawn from one engine stream,
+//! `ChaCha8Rng::seed_from_u64(seed)`, in a fixed order: admissions, then the
+//! apply loop, then the execute loop. Failures draw from the kernel's
+//! separate `"failure"` stream, so turning injection on (or changing its
+//! rate) never perturbs job noise trajectories. Stepping granularity is
+//! invisible: a driver stepped request by request (and not past the
+//! horizon, which only `run_to_idle` enforces) emits the same canonical
+//! streams as one preloaded with the same submissions.
+//!
+//! ## Snapshots
+//!
+//! Without failure injection and capacity dynamics, the only kernel event
+//! pending when [`SimDriver::step_until`] returns is the round timer, whose
+//! boundary follows from the job state, so [`SimDriver::snapshot`] captures
+//! the run as plain state. It refuses the two configurations whose state it
+//! does not capture — failure injection (a second RNG stream and pending
+//! failure events) and capacity dynamics (the script cursor and pending
+//! capacity events) — with a typed [`SnapshotRefusal`].
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -25,13 +61,15 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde_json::{json, FromJson, ToJson, Value};
 use sia_cluster::{ClusterSpec, ClusterView, GpuTypeId, JobId, Placement};
+use sia_dynamics::{CapacityChange, DynamicsRuntime};
+use sia_events::{exp_sample, EventId, EventPayload, Kernel};
 use sia_models::{JobEstimator, ProfilingMode};
 use sia_telemetry::{AllocReason, AuditEvent, AuditRecorder, FlightRecorder, TraceEvent};
 use sia_workloads::JobSpec;
 
 use crate::engine::{
-    apply_allocations, assemble_result, is_fallback, record_audit_round, EngineKind, JobState,
-    SimConfig, Simulator,
+    apply_allocations, assemble_result, evict_for_capacity, is_fallback, record_audit_round,
+    record_capacity, symmetric, JobState, SimConfig, Simulator,
 };
 use crate::result::{DecisionInfo, RoundLog, SimResult};
 use crate::scheduler::{JobView, Scheduler};
@@ -39,24 +77,22 @@ use crate::scheduler::{JobView, Scheduler};
 /// Snapshot payload format version understood by [`SimDriver::restore`].
 pub const SNAPSHOT_STATE_VERSION: u64 = 1;
 
-/// What one [`SimDriver::step_round`] call did, for callers that translate
-/// engine activity into service events.
+/// What one scheduling round did, for callers that translate engine
+/// activity into service events.
 #[derive(Debug, Clone, Default)]
 pub struct RoundOutcome {
     /// Virtual time at the round boundary that was executed.
     pub time: f64,
-    /// Jobs admitted from the pending queue at this boundary.
-    pub admitted: Vec<JobId>,
-    /// Jobs that completed during the round, with their exact finish times.
+    /// Jobs that completed during the round, with their exact finish times,
+    /// in execution order.
     pub completed: Vec<(JobId, f64)>,
-    /// Per-job allocations in force after the apply pass, sorted by job id.
-    pub allocations: Vec<(JobId, GpuTypeId, usize)>,
-    /// Jobs whose placement changed this round, in apply order.
-    pub changed: Vec<JobId>,
+    /// Jobs whose placement changed this round, in apply order, with their
+    /// new allocation (`None` when the job lost its GPUs).
+    pub changed: Vec<(JobId, Option<(GpuTypeId, usize)>)>,
 }
 
-/// Point-in-time health of the most recent *scheduled* round (one where
-/// the policy actually ran), published through [`RoundWatch`].
+/// Point-in-time health of the most recent scheduled round, published
+/// through [`RoundWatch`].
 #[derive(Debug, Clone, Default)]
 pub struct RoundHealth {
     /// Virtual time of the round boundary.
@@ -153,12 +189,13 @@ impl RoundWatch {
             .map(|t| t.elapsed())
     }
 
-    /// Rounds executed since this process started (or restored).
+    /// Rounds executed since this process started (or restored). Idle
+    /// boundaries, where no job was active, do not count.
     pub fn rounds(&self) -> u64 {
         self.inner.rounds.load(Ordering::Relaxed)
     }
 
-    /// Rounds in which the policy actually ran (active jobs present).
+    /// Rounds in which the policy reported solver statistics.
     pub fn scheduled_rounds(&self) -> u64 {
         self.inner.scheduled_rounds.load(Ordering::Relaxed)
     }
@@ -229,17 +266,105 @@ pub struct JobStatus {
     pub finish_time: Option<f64>,
 }
 
-/// A steppable instance of the round engine: one cluster, one scheduler,
-/// jobs injected over time. See the module docs for the parity contract.
+/// Why [`SimDriver::snapshot`] refused to capture a driver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SnapshotRefusal {
+    /// Failure injection is on: its RNG stream and pending failure events
+    /// are not part of the snapshot.
+    FailureInjection,
+    /// A capacity-dynamics script is attached: its cursor is not part of
+    /// the snapshot.
+    Dynamics,
+}
+
+impl fmt::Display for SnapshotRefusal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            SnapshotRefusal::FailureInjection => "failure injection cannot be snapshotted",
+            SnapshotRefusal::Dynamics => "capacity dynamics cannot be snapshotted",
+        })
+    }
+}
+
+impl std::error::Error for SnapshotRefusal {}
+
+/// Kernel events; job indices refer to [`SimDriver`]'s jobs vector.
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    /// A job's remaining work reaches zero.
+    Completion { job: usize },
+    /// A worker failure under a job's current placement.
+    Failure { job: usize },
+    /// A job finishes its checkpoint-restore and resumes useful work.
+    RestartDone { job: usize },
+    /// One or more scripted capacity events fall due at this instant.
+    Dynamics,
+    /// The scheduling round.
+    RoundTimer,
+}
+
+impl EventPayload for Ev {
+    fn kind(&self) -> &'static str {
+        match self {
+            Ev::Completion { .. } => "completion",
+            Ev::Failure { .. } => "failure",
+            Ev::RestartDone { .. } => "restart_done",
+            Ev::Dynamics => "dynamics",
+            Ev::RoundTimer => "round_timer",
+        }
+    }
+
+    /// Same-timestamp order: completions happen-before failures
+    /// happen-before restores happen-before capacity changes happen-before
+    /// the scheduling round (a capacity event exactly at a boundary is
+    /// visible to — and enforced by — that boundary's round).
+    fn priority(&self) -> u8 {
+        match self {
+            Ev::Completion { .. } => 0,
+            Ev::Failure { .. } => 1,
+            Ev::RestartDone { .. } => 2,
+            Ev::Dynamics => 3,
+            Ev::RoundTimer => 4,
+        }
+    }
+}
+
+/// Per-job event bookkeeping, parallel to the jobs vector.
+#[derive(Default)]
+struct Aux {
+    /// Pending completion, if the job finishes within the current round.
+    completion: Option<EventId>,
+    /// GPU time already charged for the slice ending at that completion.
+    completion_consumed: f64,
+    /// Next pending failure under the current placement.
+    failure: Option<EventId>,
+}
+
+/// The simulation engine: one cluster, one scheduler, jobs submitted over
+/// time. See the module docs for the event model and its guarantees.
 pub struct SimDriver {
     sim: Simulator,
+    kernel: Kernel<Ev>,
+    /// The engine stream (see the module docs).
+    rng: ChaCha8Rng,
     jobs: Vec<JobState>,
+    aux: Vec<Aux>,
     pending: VecDeque<JobSpec>,
+    /// The armed round timer and its boundary; `None` while dormant.
+    timer: Option<(EventId, f64)>,
+    dynamics: Option<DynamicsRuntime>,
+    /// Capacity changes applied since the last round; that round's
+    /// evictions enforce them.
+    pending_changes: Vec<CapacityChange>,
     rounds: Vec<RoundLog>,
+    /// Outcomes of the rounds run since the last `step_until` /
+    /// `run_to_idle` returned.
+    outs: Vec<RoundOutcome>,
+    /// Completions fired since the last round: (job index, finish time).
+    completed: Vec<(usize, f64)>,
     now: f64,
     makespan: f64,
     audit_round: u64,
-    rng: ChaCha8Rng,
     rec: FlightRecorder,
     audit: AuditRecorder,
     view: ClusterView,
@@ -250,18 +375,13 @@ pub struct SimDriver {
 
 impl SimDriver {
     /// Creates an empty driver over `spec`. The scheduler is consulted for
-    /// the round duration and the recorder meta records, exactly as
-    /// [`Simulator::run_round`] would at the top of a run.
+    /// the round duration and the recorder meta records.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.dynamics` is set or the round duration is not
-    /// positive.
+    /// Panics if the round duration is not positive, or if `cfg.dynamics`
+    /// names capacity the cluster does not have.
     pub fn new(spec: ClusterSpec, cfg: SimConfig, sched: &dyn Scheduler) -> Self {
-        assert!(
-            cfg.dynamics.is_none(),
-            "SimDriver does not support capacity dynamics"
-        );
         let round = sched.round_duration();
         assert!(round > 0.0, "round duration must be positive");
         let sim = Simulator {
@@ -269,41 +389,65 @@ impl SimDriver {
             trace: Vec::new(),
             cfg,
         };
-        let rng = ChaCha8Rng::seed_from_u64(sim.cfg.seed);
         let rec = sim.make_recorder(round);
         let audit = sim.make_audit_recorder(sched.name(), round, sched.gap_tolerance());
+        let mut driver = SimDriver::assemble(sim, ClusterView::new(spec), round, rec, audit);
+        if let Some(script) = &driver.sim.cfg.dynamics {
+            let rt = DynamicsRuntime::new(script, &driver.view)
+                .expect("dynamics script rejected by cluster spec");
+            // One kernel event per distinct op time, up to the last
+            // boundary a batch run evaluates.
+            let cutoff = driver.cutoff();
+            let mut last = f64::NEG_INFINITY;
+            for t in rt.op_times() {
+                if t <= cutoff && t != last {
+                    driver.kernel.schedule_at(t, Ev::Dynamics);
+                    last = t;
+                }
+            }
+            driver.dynamics = Some(rt);
+        }
+        driver
+    }
+
+    /// A driver at time 0 with no jobs and no pending events.
+    fn assemble(
+        sim: Simulator,
+        view: ClusterView,
+        round: f64,
+        rec: FlightRecorder,
+        audit: AuditRecorder,
+    ) -> Self {
         let horizon = sim.cfg.max_hours * 3600.0;
         SimDriver {
+            kernel: Kernel::new(sim.cfg.seed),
+            rng: ChaCha8Rng::seed_from_u64(sim.cfg.seed),
             sim,
             jobs: Vec::new(),
+            aux: Vec::new(),
             pending: VecDeque::new(),
+            timer: None,
+            dynamics: None,
+            pending_changes: Vec::new(),
             rounds: Vec::new(),
+            outs: Vec::new(),
+            completed: Vec::new(),
             now: 0.0,
             makespan: 0.0,
             audit_round: 0,
-            rng,
             rec,
             audit,
-            view: ClusterView::new(spec),
+            view,
             round,
             horizon,
             watch: RoundWatch::default(),
         }
     }
 
-    /// Current virtual time, seconds.
+    /// Current virtual time, seconds: the boundary of the next round not
+    /// yet run.
     pub fn now(&self) -> f64 {
         self.now
-    }
-
-    /// Scheduling-round duration, seconds.
-    pub fn round_duration(&self) -> f64 {
-        self.round
-    }
-
-    /// Simulation horizon, seconds ([`SimConfig::max_hours`]).
-    pub fn horizon(&self) -> f64 {
-        self.horizon
     }
 
     /// Number of admitted, unfinished jobs.
@@ -314,11 +458,6 @@ impl SimDriver {
     /// Number of submitted jobs not yet admitted at a round boundary.
     pub fn pending_count(&self) -> usize {
         self.pending.len()
-    }
-
-    /// True when no work remains: nothing pending, nothing active.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.jobs.iter().all(JobState::finished)
     }
 
     /// A clone of the round-loop observation hook, for health endpoints
@@ -349,13 +488,14 @@ impl SimDriver {
     }
 
     /// Queues a job for admission at the first round boundary at or after
-    /// its `submit_time`. Submissions with equal times are admitted in
-    /// submission order, matching the trace order of the batch engines.
+    /// its `submit_time` (and not before [`SimDriver::now`]). Submissions
+    /// with equal times are admitted in submission order.
     pub fn submit(&mut self, spec: JobSpec) {
         let pos = self
             .pending
             .partition_point(|s| s.submit_time <= spec.submit_time);
         self.pending.insert(pos, spec);
+        self.wake_for_pending();
     }
 
     /// Cancels a job. Pending jobs are silently dropped from the queue;
@@ -367,15 +507,24 @@ impl SimDriver {
             self.pending.remove(pos);
             return CancelOutcome::Pending;
         }
-        let Some(job) = self.jobs.iter_mut().find(|j| j.spec.id == id) else {
+        let Some(i) = self.jobs.iter().position(|j| j.spec.id == id) else {
             return CancelOutcome::NotFound;
         };
+        let job = &mut self.jobs[i];
         if job.finished() {
             return CancelOutcome::Finished;
         }
         job.finish_time = Some(self.now);
         let held = !job.placement.is_empty();
         job.placement = Placement::empty();
+        let gpu_seconds = job.gpu_seconds;
+        let aux = &mut self.aux[i];
+        for ev in [aux.completion.take(), aux.failure.take()]
+            .into_iter()
+            .flatten()
+        {
+            self.kernel.cancel(ev);
+        }
         self.rec
             .record(self.now, TraceEvent::JobCancelled { job: id.0 });
         if held {
@@ -390,9 +539,7 @@ impl SimDriver {
                 },
             );
         }
-        CancelOutcome::Active {
-            gpu_seconds: job.gpu_seconds,
-        }
+        CancelOutcome::Active { gpu_seconds }
     }
 
     /// Emits one `admission` audit record at the current instant: the typed
@@ -450,43 +597,250 @@ impl SimDriver {
             })
     }
 
-    /// Admits every pending job whose submit time has been reached. Same
-    /// loop as the engines' per-boundary admission scan, including the RNG
-    /// draws of bootstrap profiling.
-    fn admit_due(&mut self) -> Vec<JobId> {
-        let mut admitted = Vec::new();
-        while self
-            .pending
-            .front()
-            .is_some_and(|s| s.submit_time <= self.now)
-        {
-            let spec = self.pending.pop_front().expect("front checked");
-            admitted.push(spec.id);
-            let state = self.sim.admit(&spec, &mut self.rng, &mut self.rec);
-            self.jobs.push(state);
+    /// Advances virtual time to the first round boundary at or after `t`:
+    /// runs every round due before it and applies every event ordered
+    /// before that boundary's round, so a job finishing inside the last
+    /// round run is reported completed by this call. The horizon is not
+    /// enforced here — a daemon keeps serving past it; batch termination
+    /// is [`SimDriver::run_to_idle`].
+    pub fn step_until(&mut self, t: f64, sched: &mut dyn Scheduler) -> Vec<RoundOutcome> {
+        if t > self.now {
+            let until = self.boundary(t);
+            self.fire_while(sched, |time, ev| {
+                time < until || (time == until && !matches!(ev, Ev::RoundTimer))
+            });
+            self.now = self.now.max(until);
         }
-        admitted
+        self.take_outcomes()
     }
 
-    /// Executes exactly one round: admission, scheduling, apply, execution,
-    /// then advances time by one round duration. This is the loop body of
-    /// [`Simulator::run_round`] minus dynamics — RNG draws and recorder
-    /// records are emitted in the identical order. Rounds with no active
-    /// jobs draw no RNG and record nothing, so idle stepping (a daemon
-    /// waiting for arrivals) cannot perturb parity with the batch engines.
-    pub fn step_round(&mut self, sched: &mut dyn Scheduler) -> RoundOutcome {
-        let now = self.now;
+    /// Runs until nothing is active or pending, or until the next round
+    /// would start at or past the horizon. Jobs submitted by the first
+    /// boundary at or past the horizon are still admitted there, as a
+    /// batch run's last evaluated boundary always did.
+    pub fn run_to_idle(&mut self, sched: &mut dyn Scheduler) -> Vec<RoundOutcome> {
+        let horizon = self.horizon;
+        self.fire_while(sched, |time, ev| {
+            !(matches!(ev, Ev::RoundTimer) && time >= horizon)
+        });
+        if !self.kernel.is_empty() {
+            self.now = self.now.max(self.cutoff());
+            self.admit_due(self.now);
+        }
+        self.take_outcomes()
+    }
+
+    /// Finalizes the run into a [`SimResult`], consuming the driver. The
+    /// scheduler is only consulted for its display name.
+    pub fn finish(self, sched: &dyn Scheduler) -> SimResult {
+        assemble_result(
+            sched.name(),
+            &self.jobs,
+            self.rounds,
+            self.makespan,
+            self.rec.into_trace(),
+            self.audit.into_stream(),
+        )
+    }
+
+    /// The first round boundary at or after `t`.
+    fn boundary(&self, t: f64) -> f64 {
+        (t / self.round).ceil() * self.round
+    }
+
+    /// The first boundary at or past the horizon: the last one a batch run
+    /// evaluates.
+    fn cutoff(&self) -> f64 {
+        self.boundary(self.horizon)
+    }
+
+    /// Arms the round timer at boundary `at`, unless it already fires at or
+    /// before `at`.
+    fn wake_at(&mut self, at: f64) {
+        if self.timer.is_some_and(|(_, t)| t <= at) {
+            return;
+        }
+        if let Some((id, _)) = self.timer.take() {
+            self.kernel.cancel(id);
+        }
+        self.timer = Some((self.kernel.schedule_at(at, Ev::RoundTimer), at));
+    }
+
+    /// Makes sure a round runs by the boundary the earliest pending
+    /// submission is due at.
+    fn wake_for_pending(&mut self) {
+        if let Some(s) = self.pending.front() {
+            let t = s.submit_time.max(self.now).max(self.kernel.now());
+            self.wake_at(self.boundary(t));
+        }
+    }
+
+    /// Fires kernel events in order while `go` accepts the next one.
+    fn fire_while(&mut self, sched: &mut dyn Scheduler, go: impl Fn(f64, &Ev) -> bool) {
+        while self.kernel.peek().is_some_and(|(time, ev)| go(time, ev)) {
+            let ev = self.kernel.pop().expect("peeked event");
+            match ev.payload {
+                Ev::Completion { job } => self.on_completion(job, ev.time),
+                Ev::Failure { job } => self.on_failure(job, ev.time),
+                // The restore instant itself carries no state change (the
+                // slice accounting already paid for it).
+                Ev::RestartDone { job } => self.rec.record(
+                    ev.time,
+                    TraceEvent::RestartFinished {
+                        job: self.jobs[job].spec.id.0,
+                    },
+                ),
+                Ev::Dynamics => {
+                    if let Some(rt) = self.dynamics.as_mut() {
+                        let changes = rt.poll(ev.time, &mut self.view);
+                        record_capacity(&changes, &mut self.rec);
+                        self.pending_changes.extend(changes);
+                    }
+                }
+                Ev::RoundTimer => self.on_round_timer(ev.time, sched),
+            }
+        }
+    }
+
+    /// Admits every pending job submitted by `now`, in queue order,
+    /// drawing their bootstrap profiles from the engine stream.
+    fn admit_due(&mut self, now: f64) {
+        while self.pending.front().is_some_and(|s| s.submit_time <= now) {
+            let spec = self.pending.pop_front().expect("front checked");
+            let state = self.sim.admit(&spec, &mut self.rng, &mut self.rec);
+            self.jobs.push(state);
+            self.aux.push(Aux::default());
+        }
+    }
+
+    fn on_completion(&mut self, job: usize, now: f64) {
+        self.aux[job].completion = None;
+        if let Some(f) = self.aux[job].failure.take() {
+            self.kernel.cancel(f);
+        }
+        let j = &mut self.jobs[job];
+        j.finish_time = Some(now);
+        j.placement = Placement::empty();
+        self.makespan = self.makespan.max(now);
+        self.rec
+            .record(now, TraceEvent::JobCompleted { job: j.spec.id.0 });
+        self.rec.record(
+            now,
+            TraceEvent::AllocationChanged {
+                job: j.spec.id.0,
+                gpu_type: None,
+                gpus: 0,
+                reason: AllocReason::Completed,
+                restart: false,
+            },
+        );
+        self.completed.push((job, now));
+    }
+
+    fn on_failure(&mut self, job: usize, now: f64) {
+        self.aux[job].failure = None;
+        // Failures past the horizon are never observed: a batch run's
+        // rounds stop there.
+        let j = &mut self.jobs[job];
+        if now >= self.horizon || j.finished() || j.placement.is_empty() {
+            return;
+        }
+        j.failures += 1;
+        sia_telemetry::counter("engine.failures").incr();
+        self.rec.record(
+            now,
+            TraceEvent::JobFailed {
+                job: j.spec.id.0,
+                count: 1,
+            },
+        );
+        let gpus = j.placement.total_gpus();
+        if let Some(c) = self.aux[job].completion.take() {
+            // The failure pre-empts the scheduled finish: the job keeps its
+            // GPUs through the end of the round instead of releasing them
+            // at the completion instant.
+            self.kernel.cancel(c);
+            j.gpu_seconds += gpus as f64 * (self.round - self.aux[job].completion_consumed);
+        }
+        j.work_done = j.checkpointed_work;
+        j.restart_remaining = (j.restart_remaining + j.truth.restart_delay).min(4.0 * self.round);
+        // Re-arm the failure process for this placement.
+        self.arm_failure(job);
+        // A cancelled completion can leave a running job with no pending
+        // round; revive the timer.
+        self.wake_at(self.boundary(now));
+    }
+
+    /// (Re)starts the failure process of job `i`'s current placement, if
+    /// injection is on and the job holds GPUs.
+    fn arm_failure(&mut self, i: usize) {
+        if let Some(f) = self.aux[i].failure.take() {
+            self.kernel.cancel(f);
+        }
+        let gpus = self.jobs[i].placement.total_gpus();
+        if self.sim.cfg.failure_rate_per_gpu_hour > 0.0 && gpus > 0 {
+            let lambda = self.sim.cfg.failure_rate_per_gpu_hour * gpus as f64 / 3600.0;
+            let gap = exp_sample(self.kernel.rng("failure"), lambda);
+            if gap.is_finite() {
+                self.aux[i].failure = Some(self.kernel.schedule_in(gap, Ev::Failure { job: i }));
+            }
+        }
+    }
+
+    /// Attaches the completions fired since the last round to that round's
+    /// outcome, in the execute loop's (job index) order.
+    fn flush_completions(&mut self) {
+        let Some(o) = self.outs.last_mut() else {
+            return;
+        };
+        self.completed.sort_unstable_by_key(|&(i, _)| i);
+        let jobs = &self.jobs;
+        o.completed
+            .extend(self.completed.drain(..).map(|(i, t)| (jobs[i].spec.id, t)));
+    }
+
+    fn take_outcomes(&mut self) -> Vec<RoundOutcome> {
+        self.flush_completions();
+        std::mem::take(&mut self.outs)
+    }
+
+    /// The round body: admit, enforce capacity changes, schedule, apply,
+    /// execute one round slice per placed job, and arm the next round.
+    fn on_round_timer(&mut self, now: f64, sched: &mut dyn Scheduler) {
         let round = self.round;
-        self.watch.begin_round();
-        let admitted = self.admit_due();
+        self.timer = None;
+        self.flush_completions();
+        self.admit_due(now);
+        // Enforce capacity changes observed since the last boundary: evict
+        // jobs whose nodes were removed (kills also roll back to the last
+        // checkpoint) before the scheduler sees the round's job views.
+        if !self.pending_changes.is_empty() {
+            let evicted = evict_for_capacity(
+                &self.pending_changes,
+                &mut self.jobs,
+                now,
+                &mut self.rec,
+                &mut self.audit,
+                self.audit_round,
+            );
+            sia_telemetry::counter("engine.restarts").add(evicted);
+            self.pending_changes.clear();
+        }
         let active: Vec<usize> = (0..self.jobs.len())
             .filter(|&i| !self.jobs[i].finished())
             .collect();
+        if active.is_empty() {
+            // Dormant until the next submission is due.
+            self.wake_for_pending();
+            return;
+        }
+        self.watch.begin_round();
 
+        // Ask the policy for placements. The timer deliberately also covers
+        // the validate/apply loop, so `policy_runtime` reflects the full
+        // per-round scheduling cost, not just the policy's `schedule` call.
         let round_t0 = Instant::now();
-        let (alloc_map, solver_stats, decisions) = if active.is_empty() {
-            (BTreeMap::new(), None, Vec::new())
-        } else {
+        let (alloc_map, solver_stats, decisions) = {
             let views: Vec<JobView<'_>> = active.iter().map(|&i| self.jobs[i].view(now)).collect();
             let map = {
                 let _span = sia_telemetry::span("engine.schedule");
@@ -522,16 +876,20 @@ impl SimDriver {
         if solver_stats.is_some() {
             self.audit_round += 1;
         }
-        let policy_runtime = round_t0.elapsed().as_secs_f64();
-        if !active.is_empty() {
-            self.rec.record(
-                now,
-                TraceEvent::RoundScheduled {
-                    contention,
-                    policy_runtime,
-                },
-            );
+        // The failure process is per-placement: restart it for every
+        // changed job. Failures draw from their own stream, so doing this
+        // after the apply loop leaves the engine stream's order intact.
+        for &i in &applied.changed {
+            self.arm_failure(i);
         }
+        let policy_runtime = round_t0.elapsed().as_secs_f64();
+        self.rec.record(
+            now,
+            TraceEvent::RoundScheduled {
+                contention,
+                policy_runtime,
+            },
+        );
 
         sia_telemetry::counter("engine.rounds").incr();
         sia_telemetry::counter("engine.restarts").add(applied.restarts);
@@ -540,16 +898,10 @@ impl SimDriver {
         sia_telemetry::gauge("engine.queue_depth")
             .set((contention - applied.allocations.len()) as f64);
 
-        let changed: Vec<JobId> = applied
-            .changed
-            .iter()
-            .map(|&i| self.jobs[i].spec.id)
-            .collect();
-        let allocations = applied.allocations.clone();
         let health = solver_stats.as_ref().map(|s| RoundHealth {
             time: now,
             active: active.len(),
-            allocated: allocations.len(),
+            allocated: applied.allocations.len(),
             policy_runtime_s: policy_runtime,
             solve_s: s.solve_s,
             gap_rel: s.gap_rel(),
@@ -562,6 +914,20 @@ impl SimDriver {
             lagrangian_iters: s.lagrangian_iters,
             lagrangian_gap: s.lagrangian_gap,
         });
+        let spec = self.view.spec();
+        self.outs.push(RoundOutcome {
+            time: now,
+            completed: Vec::new(),
+            changed: applied
+                .changed
+                .iter()
+                .map(|&i| {
+                    let p = &self.jobs[i].placement;
+                    let alloc = (!p.is_empty()).then(|| (p.gpu_type(spec), p.total_gpus()));
+                    (self.jobs[i].spec.id, alloc)
+                })
+                .collect(),
+        });
         self.rounds.push(RoundLog {
             time: now,
             active_jobs: active.len(),
@@ -571,150 +937,74 @@ impl SimDriver {
             solver_stats,
         });
 
-        // Advance one round of execution (verbatim engine loop body).
+        // Execute one round slice per placed job. Jobs that finish within
+        // the slice get an exact-time Completion event; their work is
+        // committed eagerly so the executor report observes it.
         let execute_span = sia_telemetry::span("engine.execute");
-        let mut round_failures = 0u64;
-        let mut completed: Vec<(JobId, f64)> = Vec::new();
         for &i in &active {
             let job = &mut self.jobs[i];
             if job.placement.is_empty() {
                 continue;
             }
             let gpus = job.placement.total_gpus();
-            if self.sim.cfg.failure_rate_per_gpu_hour > 0.0 {
-                let expected =
-                    self.sim.cfg.failure_rate_per_gpu_hour * gpus as f64 * round / 3600.0;
-                let k = sia_events::poisson_sample(&mut self.rng, expected);
-                if k > 0 {
-                    job.failures += u32::try_from(k).unwrap_or(u32::MAX);
-                    round_failures += k;
-                    job.work_done = job.checkpointed_work;
-                    job.restart_remaining = (job.restart_remaining
-                        + k as f64 * job.truth.restart_delay)
-                        .min(4.0 * round);
-                    self.rec.record(
-                        now,
-                        TraceEvent::JobFailed {
-                            job: job.spec.id.0,
-                            count: k,
-                        },
-                    );
-                }
-            }
             let paid_restart = job.restart_remaining.min(round);
             job.restart_remaining -= paid_restart;
             let usable = round - paid_restart;
-            let mut consumed = round;
+            let mut consumed = round; // GPU time held this round
 
             if usable > 0.0 {
                 if let Some((goodput, point, gpu_type)) = self.sim.true_goodput(job, &self.view) {
-                    let jittered = goodput
-                        * (1.0
-                            + self.sim.cfg.execution_noise
-                                * crate::engine::symmetric(&mut self.rng));
+                    let jittered =
+                        goodput * (1.0 + self.sim.cfg.execution_noise * symmetric(&mut self.rng));
                     let jittered = jittered.max(0.0);
                     let needed = job.spec.work_target - job.work_done;
                     if jittered > 0.0 && needed <= jittered * usable {
                         let dt = needed / jittered;
-                        let finish = now + paid_restart + dt;
-                        job.finish_time = Some(finish);
-                        job.work_done = job.spec.work_target;
                         consumed = paid_restart + dt;
-                        self.makespan = self.makespan.max(finish);
-                        completed.push((job.spec.id, finish));
-                        self.rec
-                            .record(finish, TraceEvent::JobCompleted { job: job.spec.id.0 });
-                        self.rec.record(
-                            finish,
-                            TraceEvent::AllocationChanged {
-                                job: job.spec.id.0,
-                                gpu_type: None,
-                                gpus: 0,
-                                reason: AllocReason::Completed,
-                                restart: false,
-                            },
+                        job.work_done = job.spec.work_target;
+                        self.aux[i].completion_consumed = consumed;
+                        self.aux[i].completion = Some(
+                            self.kernel
+                                .schedule_at(now + paid_restart + dt, Ev::Completion { job: i }),
                         );
                     } else {
                         job.work_done += jittered * usable;
                         job.advance_checkpoint();
                     }
+                    // Executor report (throttled to one per round).
                     self.sim
                         .executor_report(job, gpus, gpu_type, &point, &mut self.rng);
                 }
             }
             if paid_restart > 0.0 && usable > 0.0 {
-                self.rec.record(
-                    now + paid_restart,
-                    TraceEvent::RestartFinished { job: job.spec.id.0 },
-                );
+                self.kernel
+                    .schedule_at(now + paid_restart, Ev::RestartDone { job: i });
             }
             job.gpu_seconds += gpus as f64 * consumed;
-            if job.finished() {
-                job.placement = Placement::empty();
-            }
         }
         drop(execute_span);
-        sia_telemetry::counter("engine.failures").add(round_failures);
 
-        self.now += round;
+        // Next round, if anything will still be runnable: jobs with a
+        // pending completion finish before the next boundary and don't
+        // count. Otherwise the timer waits for the next submission.
+        if active
+            .iter()
+            .any(|&i| !self.jobs[i].finished() && self.aux[i].completion.is_none())
+        {
+            if now + round >= self.horizon {
+                // The horizon ends the batch run here: no later round
+                // observes a failure, so drop the pending ones.
+                for a in &mut self.aux {
+                    if let Some(f) = a.failure.take() {
+                        self.kernel.cancel(f);
+                    }
+                }
+            }
+            self.wake_at(now + round);
+        }
+        self.wake_for_pending();
+        self.now = self.now.max(now + round);
         self.watch.end_round(health);
-        RoundOutcome {
-            time: now,
-            admitted,
-            completed,
-            allocations,
-            changed,
-        }
-    }
-
-    /// Steps rounds until virtual time reaches `t` (replay pacing for a
-    /// command stream: execute everything due strictly before the next
-    /// command's timestamp). The horizon is not enforced here — a daemon
-    /// keeps serving past it; batch-equivalent termination is
-    /// [`SimDriver::run_to_idle`].
-    pub fn step_until(&mut self, t: f64, sched: &mut dyn Scheduler) -> Vec<RoundOutcome> {
-        let mut out = Vec::new();
-        while self.now < t {
-            out.push(self.step_round(sched));
-        }
-        out
-    }
-
-    /// Runs until the engine's own termination condition: no active jobs
-    /// and nothing pending, or the horizon reached — the exact break logic
-    /// of [`Simulator::run_round`], so a driver pre-loaded with a whole
-    /// trace reproduces the batch run round for round.
-    pub fn run_to_idle(&mut self, sched: &mut dyn Scheduler) -> Vec<RoundOutcome> {
-        let mut out = Vec::new();
-        loop {
-            let admitted = self.admit_due();
-            let has_active = self.jobs.iter().any(|j| !j.finished());
-            if !has_active && self.pending.is_empty() {
-                break;
-            }
-            if self.now >= self.horizon {
-                break;
-            }
-            let mut o = self.step_round(sched);
-            // `step_round` re-scans the queue but everything due was just
-            // admitted above; surface those ids on this round's outcome.
-            o.admitted = admitted.into_iter().chain(o.admitted).collect();
-            out.push(o);
-        }
-        out
-    }
-
-    /// Finalizes the run into a [`SimResult`], consuming the driver. The
-    /// scheduler is only consulted for its display name.
-    pub fn finish(self, sched: &dyn Scheduler) -> SimResult {
-        assemble_result(
-            sched.name(),
-            &self.jobs,
-            self.rounds,
-            self.makespan,
-            self.rec.into_trace(),
-            self.audit.into_stream(),
-        )
     }
 
     /// Re-attaches a flight-recorder spill file (snapshots never carry open
@@ -729,18 +1019,25 @@ impl SimDriver {
         self.audit.attach_spill(path)
     }
 
-    /// Serializes the complete driver state — RNG, capacity view, per-job
-    /// truth-independent state (estimators included), pending queue, both
-    /// recorder rings and the scheduler's durable state — into one JSON
-    /// value. [`SimDriver::restore`] rebuilds a driver that emits exactly
-    /// the records and RNG draws the original would have emitted next.
+    /// Serializes the complete driver state — engine stream, capacity
+    /// view, per-job truth-independent state (estimators included),
+    /// pending queue, both recorder rings and the scheduler's durable
+    /// state — into one JSON value. [`SimDriver::restore`] rebuilds a
+    /// driver that emits exactly the records and RNG draws the original
+    /// would have emitted next.
     ///
     /// The per-round log ([`SimResult::rounds`]) is deliberately not
     /// captured: it is reporting output, not evolution state, and a
     /// restored daemon's result only carries post-restore rounds.
-    pub fn snapshot(&self, sched: &dyn Scheduler) -> Value {
+    pub fn snapshot(&self, sched: &dyn Scheduler) -> Result<Value, SnapshotRefusal> {
+        if self.sim.cfg.failure_rate_per_gpu_hour > 0.0 {
+            return Err(SnapshotRefusal::FailureInjection);
+        }
+        if self.sim.cfg.dynamics.is_some() {
+            return Err(SnapshotRefusal::Dynamics);
+        }
         let (key, counter, buf, idx) = self.rng.export_state();
-        json!({
+        Ok(json!({
             "version": SNAPSHOT_STATE_VERSION,
             "now": self.now,
             "makespan": self.makespan,
@@ -760,15 +1057,15 @@ impl SimDriver {
             "trace_recorder": self.rec.export_state(),
             "audit_recorder": self.audit.export_state(),
             "scheduler": sched.export_state().unwrap_or(Value::Null),
-        })
+        }))
     }
 
     /// Rebuilds a driver from a [`SimDriver::snapshot`] payload, feeding
     /// the captured policy state into `sched` via
     /// [`Scheduler::import_state`]. Spill files are not re-attached (see
     /// [`SimDriver::attach_trace_spill`]). Fails on a version mismatch, a
-    /// malformed payload, or a scheduler whose round duration disagrees
-    /// with the snapshot.
+    /// malformed payload, a payload with failure injection on, or a
+    /// scheduler whose round duration disagrees with the snapshot.
     pub fn restore(payload: &Value, sched: &mut dyn Scheduler) -> Result<Self, String> {
         let version = payload
             .get("version")
@@ -789,21 +1086,19 @@ impl SimDriver {
         let spec = ClusterSpec::from_json(payload.get("spec").ok_or("snapshot: missing spec")?)
             .map_err(|e| format!("snapshot: bad spec: {e}"))?;
         let cfg = config_from_json(payload.get("config").ok_or("snapshot: missing config")?)?;
+        if cfg.failure_rate_per_gpu_hour > 0.0 {
+            return Err(format!("snapshot: {}", SnapshotRefusal::FailureInjection));
+        }
         let view =
             ClusterView::from_json(payload.get("cluster").ok_or("snapshot: missing cluster")?)
                 .map_err(|e| format!("snapshot: bad cluster view: {e}"))?;
         let rng = rng_from_json(payload.get("rng").ok_or("snapshot: missing rng")?)?;
-        let sim = Simulator {
-            spec,
-            trace: Vec::new(),
-            cfg,
-        };
         let jobs = payload
             .get("jobs")
             .and_then(Value::as_array)
             .ok_or("snapshot: missing jobs")?
             .iter()
-            .map(|v| job_from_json(v, &sim.spec))
+            .map(|v| job_from_json(v, &spec))
             .collect::<Result<Vec<JobState>, String>>()?;
         let pending = payload
             .get("pending")
@@ -829,23 +1124,27 @@ impl SimDriver {
                 sched.import_state(state);
             }
         }
-        let horizon = sim.cfg.max_hours * 3600.0;
-        Ok(SimDriver {
-            sim,
-            jobs,
-            pending,
-            rounds: Vec::new(),
-            now: req_f64(payload, "now")?,
-            makespan: req_f64(payload, "makespan")?,
-            audit_round: req_bits(payload, "audit_round")?,
-            rng,
-            rec,
-            audit,
-            view,
-            round,
-            horizon,
-            watch: RoundWatch::default(),
-        })
+        let sim = Simulator {
+            spec,
+            trace: Vec::new(),
+            cfg,
+        };
+        let mut driver = SimDriver::assemble(sim, view, round, rec, audit);
+        driver.rng = rng;
+        driver.aux = jobs.iter().map(|_| Aux::default()).collect();
+        driver.jobs = jobs;
+        driver.pending = pending;
+        driver.now = req_f64(payload, "now")?;
+        driver.makespan = req_f64(payload, "makespan")?;
+        driver.audit_round = req_bits(payload, "audit_round")?;
+        // Re-arm the round timer where the original had it: at `now` while
+        // any admitted job is unfinished (every completion before `now` has
+        // fired), else for the earliest pending submission.
+        if driver.active_count() > 0 {
+            driver.wake_at(driver.now);
+        }
+        driver.wake_for_pending();
+        Ok(driver)
     }
 }
 
@@ -879,7 +1178,6 @@ fn opt_f64(v: Option<f64>) -> Value {
 
 fn config_to_json(cfg: &SimConfig) -> Value {
     json!({
-        "engine": cfg.engine.label(),
         "profiling_mode": cfg.profiling_mode.to_json(),
         "seed": bits(cfg.seed),
         "measurement_noise": cfg.measurement_noise,
@@ -894,11 +1192,6 @@ fn config_to_json(cfg: &SimConfig) -> Value {
 }
 
 fn config_from_json(v: &Value) -> Result<SimConfig, String> {
-    let engine = match v.get("engine").and_then(Value::as_str) {
-        Some("round") => EngineKind::Round,
-        Some("events") | None => EngineKind::Events,
-        Some(other) => return Err(format!("snapshot: unknown engine {other:?}")),
-    };
     let profiling_mode = ProfilingMode::from_json(
         v.get("profiling_mode")
             .ok_or("snapshot: missing profiling_mode")?,
@@ -912,7 +1205,6 @@ fn config_from_json(v: &Value) -> Result<SimConfig, String> {
         usize::try_from(raw).map_err(|_| format!("snapshot: {name} out of range"))
     };
     Ok(SimConfig {
-        engine,
         profiling_mode,
         seed: req_bits(v, "seed")?,
         measurement_noise: req_f64(v, "measurement_noise")?,
@@ -1040,116 +1332,15 @@ fn job_from_json(v: &Value, cluster: &ClusterSpec) -> Result<JobState, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::AllocationMap;
-    use sia_cluster::{Configuration, FreeGpus};
-    use sia_workloads::{Trace, TraceConfig, TraceKind};
+    use crate::engine::tests::{tiny_trace, OneGpuEach};
+    use sia_workloads::Trace;
 
-    /// Same trivial scheduler as the engine tests: one GPU per job,
-    /// first-fit, placements kept forever.
-    struct OneGpuEach;
-
-    impl Scheduler for OneGpuEach {
-        fn name(&self) -> &'static str {
-            "one-gpu-each"
-        }
-
-        fn schedule(
-            &mut self,
-            _now: f64,
-            jobs: &[JobView<'_>],
-            cluster: &ClusterView,
-        ) -> AllocationMap {
-            let spec = cluster.spec();
-            let mut free = FreeGpus::for_view(cluster);
-            let mut out = AllocationMap::new();
-            for j in jobs {
-                if !j.current.is_empty() {
-                    free.take_available(cluster, j.current);
-                    out.insert(j.id, j.current.clone());
-                    continue;
-                }
-                for t in spec.gpu_types() {
-                    if j.gpus_per_replica(spec, t) == Some(1) {
-                        if let Ok(p) = free.place(spec, &Configuration::new(1, 1, t)) {
-                            out.insert(j.id, p);
-                            break;
-                        }
-                    }
-                }
-            }
-            out
-        }
+    fn new_driver(cfg: &SimConfig) -> SimDriver {
+        SimDriver::new(ClusterSpec::heterogeneous_64(), cfg.clone(), &OneGpuEach)
     }
 
-    fn tiny_trace(n: usize) -> Trace {
-        let mut t = Trace::generate(&TraceConfig::new(TraceKind::Philly, 3));
-        t.jobs.truncate(n);
-        for j in &mut t.jobs {
-            j.work_target *= 0.02;
-        }
-        t
-    }
-
-    fn driver_run(trace: &Trace, cfg: &SimConfig) -> SimResult {
-        let mut sched = OneGpuEach;
-        let mut drv = SimDriver::new(
-            sia_cluster::ClusterSpec::heterogeneous_64(),
-            cfg.clone(),
-            &sched,
-        );
-        for j in &trace.jobs {
-            drv.submit(j.clone());
-        }
-        drv.run_to_idle(&mut sched);
-        drv.finish(&sched)
-    }
-
-    fn assert_same_run(a: &SimResult, b: &SimResult) {
-        assert_eq!(a.records.len(), b.records.len());
-        for (x, y) in a.records.iter().zip(&b.records) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.finish_time, y.finish_time, "job {} finish", x.id);
-            assert_eq!(x.gpu_seconds, y.gpu_seconds, "job {} gpu-s", x.id);
-            assert_eq!(x.restarts, y.restarts, "job {} restarts", x.id);
-            assert_eq!(x.work_done, y.work_done, "job {} work", x.id);
-        }
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.trace.canonical_jsonl(), b.trace.canonical_jsonl());
-        assert_eq!(a.audit.canonical_jsonl(), b.audit.canonical_jsonl());
-    }
-
-    #[test]
-    fn driver_matches_both_batch_engines() {
-        let trace = tiny_trace(10);
-        for cfg in [SimConfig::default(), SimConfig::physical(7)] {
-            let spec = sia_cluster::ClusterSpec::heterogeneous_64();
-            let round = Simulator::new(
-                spec.clone(),
-                &trace,
-                SimConfig {
-                    engine: EngineKind::Round,
-                    ..cfg.clone()
-                },
-            )
-            .run(&mut OneGpuEach);
-            let events = Simulator::new(
-                spec,
-                &trace,
-                SimConfig {
-                    engine: EngineKind::Events,
-                    ..cfg.clone()
-                },
-            )
-            .run(&mut OneGpuEach);
-            let driven = driver_run(&trace, &cfg);
-            assert_eq!(driven.unfinished, 0, "workload must complete");
-            assert_same_run(&driven, &round);
-            assert_eq!(
-                driven.trace.canonical_jsonl(),
-                events.trace.canonical_jsonl(),
-                "driver vs event engine"
-            );
-        }
+    fn batch_run(trace: &Trace, cfg: &SimConfig) -> SimResult {
+        Simulator::new(ClusterSpec::heterogeneous_64(), trace, cfg.clone()).run(&mut OneGpuEach)
     }
 
     #[test]
@@ -1160,22 +1351,16 @@ mod tests {
         // uninterrupted run.
         let trace = tiny_trace(8);
         let cfg = SimConfig::physical(11);
-        let uninterrupted = driver_run(&trace, &cfg);
+        let uninterrupted = batch_run(&trace, &cfg);
 
-        for cut in [1usize, 7, 23] {
+        for cut in [60.0, 420.0, 1380.0] {
             let mut sched = OneGpuEach;
-            let mut drv = SimDriver::new(
-                sia_cluster::ClusterSpec::heterogeneous_64(),
-                cfg.clone(),
-                &sched,
-            );
+            let mut drv = new_driver(&cfg);
             for j in &trace.jobs {
                 drv.submit(j.clone());
             }
-            for _ in 0..cut {
-                drv.step_round(&mut sched);
-            }
-            let payload = serde_json::to_string(&drv.snapshot(&sched)).unwrap();
+            drv.step_until(cut, &mut sched);
+            let payload = serde_json::to_string(&drv.snapshot(&sched).unwrap()).unwrap();
             drop(drv);
 
             let parsed: Value = serde_json::from_str(&payload).unwrap();
@@ -1186,15 +1371,44 @@ mod tests {
             assert_eq!(
                 result.trace.canonical_jsonl(),
                 uninterrupted.trace.canonical_jsonl(),
-                "restore at round {cut} diverged"
+                "restore at t={cut} diverged"
             );
             assert_eq!(
                 result.audit.canonical_jsonl(),
                 uninterrupted.audit.canonical_jsonl(),
-                "audit restore at round {cut} diverged"
+                "audit restore at t={cut} diverged"
             );
             assert_eq!(result.makespan, uninterrupted.makespan);
         }
+    }
+
+    #[test]
+    fn snapshot_refuses_state_it_cannot_capture() {
+        let failing = SimConfig {
+            failure_rate_per_gpu_hour: 0.5,
+            ..SimConfig::default()
+        };
+        let err = new_driver(&failing).snapshot(&OneGpuEach).unwrap_err();
+        assert_eq!(err, SnapshotRefusal::FailureInjection);
+        let scripted = SimConfig {
+            dynamics: Some(sia_dynamics::DynamicsScript::new()),
+            ..SimConfig::default()
+        };
+        let err = new_driver(&scripted).snapshot(&OneGpuEach).unwrap_err();
+        assert_eq!(err, SnapshotRefusal::Dynamics);
+
+        // A payload that carries failure injection is refused on restore
+        // too, rather than resumed without its failure process.
+        let mut payload = new_driver(&SimConfig::default())
+            .snapshot(&OneGpuEach)
+            .unwrap();
+        if let Some(Value::Object(cfg)) = payload.as_object_mut().unwrap().get_mut("config") {
+            cfg.insert("failure_rate_per_gpu_hour".into(), Value::Float(0.5));
+        }
+        let err = SimDriver::restore(&payload, &mut OneGpuEach)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.contains("failure injection"), "got: {err}");
     }
 
     #[test]
@@ -1214,11 +1428,7 @@ mod tests {
     fn cancel_pending_and_active_jobs() {
         let trace = tiny_trace(4);
         let mut sched = OneGpuEach;
-        let mut drv = SimDriver::new(
-            sia_cluster::ClusterSpec::heterogeneous_64(),
-            SimConfig::default(),
-            &sched,
-        );
+        let mut drv = new_driver(&SimConfig::default());
         for j in &trace.jobs {
             let mut j = j.clone();
             j.submit_time = 0.0;
@@ -1229,8 +1439,7 @@ mod tests {
         // Cancel one job before admission, one after it is running.
         assert_eq!(drv.cancel(queued), CancelOutcome::Pending);
         assert_eq!(drv.cancel(queued), CancelOutcome::NotFound);
-        drv.step_round(&mut sched);
-        drv.step_round(&mut sched);
+        drv.step_until(120.0, &mut sched);
         match drv.cancel(victim) {
             CancelOutcome::Active { gpu_seconds } => assert!(gpu_seconds > 0.0),
             other => panic!("expected active cancel, got {other:?}"),
@@ -1262,34 +1471,158 @@ mod tests {
 
     #[test]
     fn idle_stepping_does_not_perturb_parity() {
-        // A daemon stepping through empty rounds before the first arrival
-        // must produce the same canonical trace as a batch run.
+        // A daemon stepping through empty boundaries before the first
+        // arrival must produce the same canonical trace as a batch run.
         let mut trace = tiny_trace(3);
         for j in &mut trace.jobs {
             j.submit_time += 600.0; // ten idle rounds up front
         }
         let cfg = SimConfig::default();
-        let batch = Simulator::new(
-            sia_cluster::ClusterSpec::heterogeneous_64(),
-            &trace,
-            SimConfig {
-                engine: EngineKind::Round,
-                ..cfg.clone()
-            },
-        )
-        .run(&mut OneGpuEach);
+        let batch = batch_run(&trace, &cfg);
         let mut sched = OneGpuEach;
-        let mut drv = SimDriver::new(sia_cluster::ClusterSpec::heterogeneous_64(), cfg, &sched);
+        let mut drv = new_driver(&cfg);
         // Step a while with nothing submitted at all, then inject.
         drv.step_until(300.0, &mut sched);
         for j in &trace.jobs {
             drv.submit(j.clone());
         }
         drv.run_to_idle(&mut sched);
+        assert_eq!(drv.round_watch().rounds(), batch.rounds.len() as u64);
         let driven = drv.finish(&sched);
         assert_eq!(
             driven.trace.canonical_jsonl(),
             batch.trace.canonical_jsonl()
+        );
+    }
+
+    #[test]
+    fn step_until_lands_on_the_first_boundary_at_or_after_t() {
+        let mut trace = tiny_trace(1);
+        trace.jobs[0].submit_time = 100.0;
+        let mut sched = OneGpuEach;
+        let mut drv = new_driver(&SimConfig::default());
+        drv.submit(trace.jobs[0].clone());
+        let id = trace.jobs[0].id;
+        // Due at 100 s: still pending at the 120 s boundary until its round
+        // runs, which only happens once time moves past 120 s.
+        assert!(drv.step_until(100.0, &mut sched).is_empty());
+        assert_eq!(drv.now(), 120.0);
+        assert!(drv.job_status(id).unwrap().pending);
+        assert!(drv.step_until(120.0, &mut sched).is_empty());
+        let outs = drv.step_until(121.0, &mut sched);
+        assert_eq!(drv.now(), 180.0);
+        assert_eq!(outs.len(), 1);
+        assert_eq!(outs[0].time, 120.0);
+        assert_eq!(outs[0].changed.len(), 1);
+        assert_eq!(outs[0].changed[0].0, id);
+        assert!(!drv.job_status(id).unwrap().pending);
+        // A completion inside the last round run is reported by the call
+        // that ran that round.
+        let mut completed = Vec::new();
+        while completed.is_empty() {
+            let t = drv.now() + 1.0;
+            let outs = drv.step_until(t, &mut sched);
+            let last = outs.last().expect("the job keeps a round running");
+            completed.extend(outs.iter().flat_map(|o| o.completed.clone()));
+            if let Some(&(_, finish)) = completed.first() {
+                assert!(last.time < finish && finish <= drv.now());
+            }
+        }
+        assert_eq!(completed[0].0, id);
+        assert!(drv.job_status(id).unwrap().finished);
+        assert_eq!((drv.active_count(), drv.pending_count()), (0, 0));
+    }
+
+    #[test]
+    fn step_until_applies_events_due_at_the_boundary_it_lands_on() {
+        // A capacity change exactly on that boundary is ordered before the
+        // boundary's round, so it is in effect when the call returns.
+        let script = sia_dynamics::DynamicsScript::new().at(
+            1500.0,
+            sia_dynamics::CapacityEvent::Remove {
+                gpu_type: "a100".to_string(),
+                num_nodes: 2,
+            },
+        );
+        let mut drv = new_driver(&SimConfig {
+            dynamics: Some(script),
+            ..SimConfig::default()
+        });
+        let a100 = drv.cluster().gpu_type_by_name("a100").unwrap();
+        drv.step_until(1450.0, &mut OneGpuEach);
+        assert_eq!(drv.now(), 1500.0);
+        assert_eq!(drv.cluster().gpus_of_type(a100), 0);
+    }
+
+    #[test]
+    fn daemon_steps_past_the_horizon_but_run_to_idle_stops_there() {
+        // Two jobs from the start, one submitted between the last round
+        // before the 1800 s horizon and the boundary at it, one after.
+        let mut trace = tiny_trace(4);
+        for (j, t) in trace.jobs.iter_mut().zip([0.0, 0.0, 1790.0, 1810.0]) {
+            j.submit_time = t;
+            j.work_target *= 1e6; // never finishes
+        }
+        let cfg = SimConfig {
+            max_hours: 0.5,
+            ..SimConfig::default()
+        };
+        let mut sched = OneGpuEach;
+        let mut batch = new_driver(&cfg);
+        let mut daemon = new_driver(&cfg);
+        for j in &trace.jobs {
+            batch.submit(j.clone());
+            daemon.submit(j.clone());
+        }
+        batch.run_to_idle(&mut sched);
+        assert_eq!(batch.now(), 1800.0);
+        assert_eq!(batch.round_watch().rounds(), 30);
+        // Admitted at the last boundary a batch run evaluates, never run.
+        assert_eq!(batch.active_count(), 3);
+        assert_eq!(batch.pending_ids(), vec![trace.jobs[3].id]);
+
+        daemon.step_until(3600.0, &mut sched);
+        assert_eq!(daemon.now(), 3600.0);
+        assert_eq!(daemon.round_watch().rounds(), 60);
+        assert_eq!(daemon.active_count(), 4);
+        daemon.run_to_idle(&mut sched);
+        assert_eq!(
+            daemon.now(),
+            3600.0,
+            "run_to_idle past the horizon is a no-op"
+        );
+        assert_eq!(daemon.round_watch().rounds(), 60);
+    }
+
+    #[test]
+    fn completions_are_reported_in_execution_order() {
+        // Completion events fire in time order, but a round's outcome lists
+        // them in the order the round executed the jobs (admission order),
+        // which is the order the daemon reports them in.
+        let mut trace = tiny_trace(10);
+        for j in &mut trace.jobs {
+            j.submit_time = 0.0;
+        }
+        let mut sched = OneGpuEach;
+        let mut drv = new_driver(&SimConfig::default());
+        for j in &trace.jobs {
+            drv.submit(j.clone());
+        }
+        let outs = drv.run_to_idle(&mut sched);
+        let position = |id: JobId| trace.jobs.iter().position(|j| j.id == id).unwrap();
+        let mut out_of_time_order = false;
+        for o in &outs {
+            let order: Vec<usize> = o.completed.iter().map(|&(id, _)| position(id)).collect();
+            assert!(order.windows(2).all(|w| w[0] < w[1]), "{order:?}");
+            out_of_time_order |= o.completed.windows(2).any(|w| w[0].1 > w[1].1);
+        }
+        assert!(
+            out_of_time_order,
+            "no round completed jobs out of time order"
+        );
+        assert_eq!(
+            outs.iter().map(|o| o.completed.len()).sum::<usize>(),
+            trace.jobs.len()
         );
     }
 }

@@ -1,14 +1,13 @@
-//! The round-based discrete-time simulation engine.
+//! Simulation configuration, per-job state and the round's building blocks
+//! (admission, apply, execution model, recorders) that [`SimDriver`] runs.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::time::Instant;
 
 use rand::Rng;
-use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sia_cluster::{ClusterSpec, ClusterView, FreeGpus, GpuTypeId, JobId, Placement};
-use sia_dynamics::{CapacityChange, CapacityChangeKind, DynamicsRuntime, DynamicsScript};
+use sia_dynamics::{CapacityChange, CapacityChangeKind, DynamicsScript};
 use sia_models::{
     default_sync_prior, optimize_goodput, AllocShape, BatchLimits, FitSample, JobEstimator,
     Observation, ProfilingMode,
@@ -19,38 +18,13 @@ use sia_telemetry::{
 use sia_workloads::zoo::TrueModel;
 use sia_workloads::{Adaptivity, JobSpec, Trace};
 
+use crate::driver::SimDriver;
 use crate::result::{DecisionInfo, JobRecord, RoundLog, SimResult, SolverStats};
 use crate::scheduler::{AllocationMap, JobView, Scheduler};
-
-/// Which simulation engine executes the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// The legacy fixed-round loop: every job scanned every round; failures
-    /// quantized to round boundaries.
-    Round,
-    /// The discrete-event engine on the `sia-events` kernel: arrivals,
-    /// completions, failures and restart completions are exact-time events;
-    /// the scheduling round is a recurring timer; idle spans are skipped.
-    /// Bit-compatible with `Round` when failure injection is off.
-    #[default]
-    Events,
-}
-
-impl EngineKind {
-    /// Stable lowercase label (CLI values, reports).
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Round => "round",
-            EngineKind::Events => "events",
-        }
-    }
-}
 
 /// Simulation-wide configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Engine that executes the run (default: event-driven).
-    pub engine: EngineKind,
     /// How much initial model information each job's estimator gets (§5.7).
     pub profiling_mode: ProfilingMode,
     /// RNG seed for all noise sources.
@@ -99,7 +73,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            engine: EngineKind::default(),
             profiling_mode: ProfilingMode::Bootstrap,
             seed: 0,
             measurement_noise: 0.02,
@@ -130,7 +103,7 @@ impl SimConfig {
     }
 }
 
-/// Internal per-job state (shared by both engines).
+/// Internal per-job state.
 pub(crate) struct JobState {
     pub(crate) spec: JobSpec,
     pub(crate) truth: TrueModel,
@@ -207,259 +180,19 @@ impl Simulator {
         }
     }
 
-    /// Runs `sched` to completion (all jobs finished or horizon reached)
-    /// under the engine selected by [`SimConfig::engine`].
+    /// Runs `sched` to completion (all jobs finished or horizon reached):
+    /// a [`SimDriver`] preloaded with the whole trace, run until idle.
     pub fn run(&self, sched: &mut dyn Scheduler) -> SimResult {
-        match self.cfg.engine {
-            EngineKind::Round => self.run_round(sched),
-            EngineKind::Events => self.run_events(sched),
+        let mut driver = SimDriver::new(self.spec.clone(), self.cfg.clone(), sched);
+        for spec in &self.trace {
+            driver.submit(spec.clone());
         }
-    }
-
-    /// Runs on the event-driven engine regardless of [`SimConfig::engine`].
-    pub fn run_events(&self, sched: &mut dyn Scheduler) -> SimResult {
-        crate::event_engine::run(self, sched)
-    }
-
-    /// Runs on the legacy fixed-round engine regardless of
-    /// [`SimConfig::engine`].
-    pub fn run_round(&self, sched: &mut dyn Scheduler) -> SimResult {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.cfg.seed);
-        let round = sched.round_duration();
-        assert!(round > 0.0, "round duration must be positive");
-        let horizon = self.cfg.max_hours * 3600.0;
-        // Capacity events past the last evaluated boundary can never be
-        // observed (same cutoff as the event engine's arrival horizon).
-        let dyn_cutoff = round * (horizon / round).ceil();
-
-        let mut jobs: Vec<JobState> = Vec::new();
-        let mut next_submit = 0usize;
-        let mut rounds: Vec<RoundLog> = Vec::new();
-        let mut now = 0.0_f64;
-        let mut makespan = 0.0_f64;
-        let mut rec = self.make_recorder(round);
-        let mut audit = self.make_audit_recorder(sched.name(), round, sched.gap_tolerance());
-        let mut audit_round: u64 = 0;
-        let mut view = ClusterView::new(self.spec.clone());
-        let mut dynamics = self.cfg.dynamics.as_ref().map(|s| {
-            DynamicsRuntime::new(s, &view).expect("dynamics script rejected by cluster spec")
-        });
-
-        // Telemetry handles hoisted out of the round loop: registry lookups
-        // happen once per run, the loop itself only touches atomics.
-        let ctr_rounds = sia_telemetry::counter("engine.rounds");
-        let ctr_restarts = sia_telemetry::counter("engine.restarts");
-        let ctr_failures = sia_telemetry::counter("engine.failures");
-        let ctr_churn = sia_telemetry::counter("engine.alloc_churn");
-        let gauge_active = sia_telemetry::gauge("engine.active_jobs");
-        let gauge_queue = sia_telemetry::gauge("engine.queue_depth");
-
-        loop {
-            // Admit newly submitted jobs.
-            while next_submit < self.trace.len() && self.trace[next_submit].submit_time <= now {
-                let spec = self.trace[next_submit].clone();
-                let state = self.admit(&spec, &mut rng, &mut rec);
-                jobs.push(state);
-                next_submit += 1;
-            }
-
-            // Apply capacity events due by this boundary. Records land at
-            // their scripted event time; evictions are enforced here, at the
-            // boundary — exactly when the event engine's next round timer
-            // would enforce them.
-            let mut dynamics_pending = false;
-            if let Some(rt) = dynamics.as_mut() {
-                let changes = rt.poll(now, &mut view);
-                record_capacity(&changes, &mut rec);
-                if now < horizon {
-                    ctr_restarts.add(evict_for_capacity(
-                        &changes,
-                        &mut jobs,
-                        now,
-                        &mut rec,
-                        &mut audit,
-                        audit_round,
-                    ));
-                }
-                dynamics_pending = rt.next_time().is_some_and(|t| t <= dyn_cutoff);
-            }
-
-            let active: Vec<usize> = (0..jobs.len()).filter(|&i| !jobs[i].finished()).collect();
-            if active.is_empty() && next_submit >= self.trace.len() && !dynamics_pending {
-                break;
-            }
-            if now >= horizon {
-                break;
-            }
-
-            // Ask the policy for placements. The timer deliberately also
-            // covers the validate/apply (placement translation) loop below,
-            // so `policy_runtime` reflects the full per-round scheduling
-            // cost, not just the policy's own `schedule` call.
-            let round_t0 = Instant::now();
-            let (alloc_map, solver_stats, decisions) = if active.is_empty() {
-                (BTreeMap::new(), None, Vec::new())
-            } else {
-                let views: Vec<JobView<'_>> = active.iter().map(|&i| jobs[i].view(now)).collect();
-                let map = {
-                    let _span = sia_telemetry::span("engine.schedule");
-                    sched.schedule(now, &views, &view)
-                };
-                (map, sched.round_stats(), sched.round_decisions())
-            };
-            let provenance: BTreeMap<JobId, DecisionInfo> =
-                decisions.into_iter().map(|d| (d.job, d)).collect();
-            record_audit_round(&mut audit, audit_round, now, active.len(), &solver_stats);
-
-            // Validate and apply placements (the shared apply loop).
-            let contention = active.len();
-            let applied = apply_allocations(
-                self,
-                &mut jobs,
-                &active,
-                &alloc_map,
-                now,
-                is_fallback(&solver_stats),
-                &view,
-                &mut rng,
-                &mut rec,
-                &mut audit,
-                audit_round,
-                &provenance,
-            );
-            if solver_stats.is_some() {
-                audit_round += 1;
-            }
-            let policy_runtime = round_t0.elapsed().as_secs_f64();
-            if !active.is_empty() {
-                rec.record(
-                    now,
-                    TraceEvent::RoundScheduled {
-                        contention,
-                        policy_runtime,
-                    },
-                );
-            }
-
-            ctr_rounds.incr();
-            ctr_restarts.add(applied.restarts);
-            ctr_churn.add(applied.churn);
-            gauge_active.set(active.len() as f64);
-            gauge_queue.set((contention - applied.allocations.len()) as f64);
-
-            rounds.push(RoundLog {
-                time: now,
-                active_jobs: active.len(),
-                contention,
-                allocations: applied.allocations,
-                policy_runtime,
-                solver_stats,
-            });
-
-            // Advance one round of execution.
-            let execute_span = sia_telemetry::span("engine.execute");
-            let mut round_failures = 0u64;
-            for &i in &active {
-                let job = &mut jobs[i];
-                if job.placement.is_empty() {
-                    continue;
-                }
-                let gpus = job.placement.total_gpus();
-                // Worker failures (§3.5): roll back to the last epoch
-                // checkpoint and pay a restore delay. The per-round count is
-                // Poisson — a Bernoulli draw on `min(lambda, 1)` would
-                // silently saturate at one failure per round for large jobs
-                // or long rounds.
-                if self.cfg.failure_rate_per_gpu_hour > 0.0 {
-                    let expected =
-                        self.cfg.failure_rate_per_gpu_hour * gpus as f64 * round / 3600.0;
-                    let k = sia_events::poisson_sample(&mut rng, expected);
-                    if k > 0 {
-                        job.failures += u32::try_from(k).unwrap_or(u32::MAX);
-                        round_failures += k;
-                        job.work_done = job.checkpointed_work;
-                        job.restart_remaining = (job.restart_remaining
-                            + k as f64 * job.truth.restart_delay)
-                            .min(4.0 * round);
-                        rec.record(
-                            now,
-                            TraceEvent::JobFailed {
-                                job: job.spec.id.0,
-                                count: k,
-                            },
-                        );
-                    }
-                }
-                let paid_restart = job.restart_remaining.min(round);
-                job.restart_remaining -= paid_restart;
-                let usable = round - paid_restart;
-                let mut consumed = round; // GPU time held this round
-
-                if usable > 0.0 {
-                    if let Some((goodput, point, gpu_type)) = self.true_goodput(job, &view) {
-                        let jittered =
-                            goodput * (1.0 + self.cfg.execution_noise * symmetric(&mut rng));
-                        let jittered = jittered.max(0.0);
-                        let needed = job.spec.work_target - job.work_done;
-                        if jittered > 0.0 && needed <= jittered * usable {
-                            let dt = needed / jittered;
-                            let finish = now + paid_restart + dt;
-                            job.finish_time = Some(finish);
-                            job.work_done = job.spec.work_target;
-                            consumed = paid_restart + dt;
-                            makespan = makespan.max(finish);
-                            // Stamped with the exact completion instant,
-                            // matching the event engine's Completion event.
-                            rec.record(finish, TraceEvent::JobCompleted { job: job.spec.id.0 });
-                            rec.record(
-                                finish,
-                                TraceEvent::AllocationChanged {
-                                    job: job.spec.id.0,
-                                    gpu_type: None,
-                                    gpus: 0,
-                                    reason: AllocReason::Completed,
-                                    restart: false,
-                                },
-                            );
-                        } else {
-                            job.work_done += jittered * usable;
-                            job.advance_checkpoint();
-                        }
-                        // Executor report (throttled to one per round).
-                        self.executor_report(job, gpus, gpu_type, &point, &mut rng);
-                    }
-                }
-                if paid_restart > 0.0 && usable > 0.0 {
-                    // The restore ends mid-round; the event engine fires a
-                    // RestartDone event at the same instant.
-                    rec.record(
-                        now + paid_restart,
-                        TraceEvent::RestartFinished { job: job.spec.id.0 },
-                    );
-                }
-                job.gpu_seconds += gpus as f64 * consumed;
-                if job.finished() {
-                    job.placement = Placement::empty();
-                }
-            }
-            drop(execute_span);
-            ctr_failures.add(round_failures);
-
-            now += round;
-        }
-
-        assemble_result(
-            sched.name(),
-            &jobs,
-            rounds,
-            makespan,
-            rec.into_trace(),
-            audit.into_stream(),
-        )
+        driver.run_to_idle(sched);
+        driver.finish(sched)
     }
 
     /// Opens this run's flight recorder (ring bound and spill per config)
-    /// and stamps the stream header. Shared by both engines.
+    /// and stamps the stream header.
     pub(crate) fn make_recorder(&self, round: f64) -> FlightRecorder {
         let mut rec = match &self.cfg.trace_spill {
             Some(path) => {
@@ -488,7 +221,7 @@ impl Simulator {
     }
 
     /// Opens this run's audit recorder (ring bound and spill per config)
-    /// and stamps the stream's meta record. Shared by both engines.
+    /// and stamps the stream's meta record.
     pub(crate) fn make_audit_recorder(
         &self,
         scheduler: &str,
@@ -520,9 +253,8 @@ impl Simulator {
 
     /// Builds a job's initial state (estimator per profiling mode, charging
     /// any profiling overhead). Emits the job's `submitted`/`admitted`
-    /// records stamped with the submission instant — both engines call this
-    /// exactly once per job, so the stream carries identical admission
-    /// records even though the round engine admits at round boundaries.
+    /// records stamped with the submission instant, although the driver
+    /// admits at the first round boundary at or after it.
     pub(crate) fn admit(
         &self,
         spec: &JobSpec,
@@ -633,9 +365,9 @@ impl Simulator {
     }
 
     /// One noisy executor report (throughput sample + measured gradient
-    /// noise scale) fed into the job's estimator. Both engines call this
-    /// once per scheduled round per running job, with identical RNG draw
-    /// order (iteration-time noise first, then the phi-measurement noise).
+    /// noise scale) fed into the job's estimator, once per scheduled round
+    /// per running job (iteration-time noise drawn first, then the
+    /// phi-measurement noise).
     pub(crate) fn executor_report(
         &self,
         job: &mut JobState,
@@ -679,7 +411,7 @@ impl Simulator {
 
 /// Emits one audit `round` record from the policy's reported solver stats
 /// (no record when the policy tracks none — baselines produce meta-only
-/// streams). Shared by both engines so the records cannot drift apart.
+/// streams).
 pub(crate) fn record_audit_round(
     audit: &mut AuditRecorder,
     audit_round: u64,
@@ -722,15 +454,13 @@ pub(crate) struct RoundApply {
     /// Jobs whose placement changed at all.
     pub(crate) churn: u64,
     /// Indices (into `jobs`) of the changed jobs, in apply order — the
-    /// event engine re-arms per-placement failure processes from this.
+    /// driver re-arms per-placement failure processes from this.
     pub(crate) changed: Vec<usize>,
 }
 
-/// Validates and applies one round of placements: the single shared apply
-/// loop of both engines. Consumes engine-stream RNG draws (restart jitter)
-/// in exactly the legacy order and emits the round's `alloc` /
-/// `restart_started` flight-recorder records, so the two engines cannot
-/// drift apart in either RNG sequence or trace content.
+/// Validates and applies one round of placements. Draws restart jitter from
+/// the engine stream in apply order and emits the round's `alloc` /
+/// `restart_started` flight-recorder records.
 ///
 /// `fallback` tags this round's allocation changes as decided by a
 /// fallback heuristic (`ilp-infeasible-fallback`) rather than the policy's
@@ -868,9 +598,7 @@ pub(crate) fn apply_allocations(
 }
 
 /// Records one flight-recorder event per applied capacity change, stamped
-/// with the *scripted* event time (both engines call this with the same
-/// change sequence, so the records are identical even though the round
-/// engine observes mid-round events late).
+/// with the *scripted* event time.
 pub(crate) fn record_capacity(changes: &[CapacityChange], rec: &mut FlightRecorder) {
     for ch in changes {
         let ev = match ch.kind {
@@ -913,10 +641,9 @@ pub(crate) fn record_capacity(changes: &[CapacityChange], rec: &mut FlightRecord
 
 /// Evicts every job whose placement touches a node removed by `changes`
 /// (abrupt kill or expired drain). Kills also roll progress back to the
-/// last epoch checkpoint; drained jobs keep their work. Both engines run
-/// this sweep at the round boundary that enforces the change, so eviction
-/// records and job state transitions are identical across engines. No RNG
-/// is drawn here — the evicted job pays its restore when (and if) the
+/// last epoch checkpoint; drained jobs keep their work. The driver runs
+/// this sweep at the round boundary that enforces the change. No RNG is
+/// drawn here — the evicted job pays its restore when (and if) the
 /// scheduler re-places it, through the ordinary apply path.
 pub(crate) fn evict_for_capacity(
     changes: &[CapacityChange],
@@ -995,8 +722,7 @@ pub(crate) fn is_fallback(stats: &Option<crate::result::SolverStats>) -> bool {
     )
 }
 
-/// Builds the final [`SimResult`] from terminal per-job state (shared by
-/// both engines so record fields cannot drift apart).
+/// Builds the final [`SimResult`] from terminal per-job state.
 pub(crate) fn assemble_result(
     scheduler: &'static str,
     jobs: &[JobState],
@@ -1083,7 +809,7 @@ pub(crate) fn symmetric(rng: &mut ChaCha8Rng) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::scheduler::AllocationMap;
     use sia_cluster::{ClusterSpec, Configuration};
@@ -1091,7 +817,7 @@ mod tests {
 
     /// A trivial scheduler: gives every job 1 GPU (first-fit) and never
     /// reallocates (drops placements the capacity view no longer allows).
-    struct OneGpuEach;
+    pub(crate) struct OneGpuEach;
 
     impl Scheduler for OneGpuEach {
         fn name(&self) -> &'static str {
@@ -1128,7 +854,7 @@ mod tests {
         }
     }
 
-    fn tiny_trace(n: usize) -> Trace {
+    pub(crate) fn tiny_trace(n: usize) -> Trace {
         let mut t = Trace::generate(&TraceConfig::new(TraceKind::Philly, 3));
         t.jobs.truncate(n);
         // Shrink work targets so the test runs fast in simulated time.
@@ -1288,10 +1014,9 @@ mod tests {
 
     #[test]
     fn high_failure_rates_do_not_saturate() {
-        // Regression: the per-round failure count used to be a Bernoulli
-        // draw on `min(lambda, 1)`, silently capping at one failure per
-        // round. At lambda ~= 10 failures per round the run must observe
-        // far more failures than it has rounds.
+        // Failures are an exact-time process, not a per-round draw, so they
+        // must never saturate at one per round: at lambda ~= 10 failures per
+        // round the run must observe far more failures than it has rounds.
         let spec = ClusterSpec::homogeneous_64();
         let mut trace = tiny_trace(1);
         trace.jobs[0].work_target *= 1e9; // never finishes
@@ -1301,23 +1026,25 @@ mod tests {
             failure_rate_per_gpu_hour: 600.0,
             ..SimConfig::default()
         };
-        let sim = Simulator::new(spec, &trace, cfg);
-        for result in [
-            sim.run_round(&mut OneGpuEach),
-            sim.run_events(&mut OneGpuEach),
-        ] {
-            let rounds = result.rounds.len() as u64;
-            let failures = u64::from(result.records[0].failures);
-            assert!(
-                failures > 3 * rounds,
-                "failure sampling saturated: {failures} failures in {rounds} rounds"
-            );
-        }
+        let result = Simulator::new(spec, &trace, cfg).run(&mut OneGpuEach);
+        let rounds = result.rounds.len() as u64;
+        let failures = u64::from(result.records[0].failures);
+        assert!(
+            failures > 3 * rounds,
+            "failure sampling saturated: {failures} failures in {rounds} rounds"
+        );
+        // Injection ends with the last round before the horizon: a failure
+        // after it would roll back work no later round can redo.
+        let last_round = result.rounds.last().unwrap().time;
+        assert!(result.trace.records.iter().all(|r| match r.ev {
+            TraceEvent::JobFailed { .. } => r.t <= last_round,
+            _ => true,
+        }));
     }
 
     #[test]
     fn failure_streams_do_not_perturb_noise_draws() {
-        // Event engine: failures draw from their own RNG stream, so turning
+        // Failures draw from their own RNG stream, so turning
         // injection on must not change when jobs would otherwise finish if
         // no failure actually lands before completion. Compare a zero-rate
         // run against a tiny-but-nonzero rate where no failure fires.
@@ -1331,7 +1058,7 @@ mod tests {
                 failure_rate_per_gpu_hour: rate,
                 ..SimConfig::default()
             };
-            Simulator::new(spec.clone(), &trace, cfg).run_events(&mut OneGpuEach)
+            Simulator::new(spec.clone(), &trace, cfg).run(&mut OneGpuEach)
         };
         let clean = run_with(0.0);
         let armed = run_with(1e-9);

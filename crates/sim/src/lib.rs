@@ -5,15 +5,16 @@
 //! model-specific checkpoint-restore delays. This crate is a from-scratch
 //! Rust equivalent:
 //!
-//! * round-based execution: every `round_duration` seconds the active
+//! * round-based scheduling: every `round_duration` seconds the active
 //!   [`Scheduler`] observes the visible job state ([`JobView`]) and returns
 //!   complete placements; between rounds jobs progress at the goodput of
 //!   their *true* (hidden) performance model;
-//! * two interchangeable engines ([`EngineKind`]): the legacy fixed-round
-//!   loop, and the default event-driven engine on the `sia-events` kernel
-//!   (arrivals, completions, failures and restart completions are exact-time
-//!   events; the scheduling round is a recurring timer; idle spans are
-//!   skipped). With failure injection off the two are bit-identical;
+//! * one engine, [`SimDriver`], on the `sia-events` kernel: completions,
+//!   failures, restore completions and capacity changes are exact-time
+//!   events, the scheduling round is a timer that sleeps through idle
+//!   spans, and submissions wait in a queue until the next boundary. Batch
+//!   runs ([`Simulator::run`]) preload the trace into a driver; the
+//!   `sia-serve` daemon steps one request by request;
 //! * Adaptive Executors pick the goodput-optimal batch size and gradient
 //!   accumulation for whatever resources a job holds, and report noisy
 //!   throughput/gradient statistics that refine the job's
@@ -29,14 +30,13 @@
 
 pub mod driver;
 pub mod engine;
-mod event_engine;
 pub mod result;
 pub mod scheduler;
 
 pub use driver::{
-    CancelOutcome, JobStatus, RoundHealth, RoundOutcome, RoundWatch, SimDriver,
+    CancelOutcome, JobStatus, RoundHealth, RoundOutcome, RoundWatch, SimDriver, SnapshotRefusal,
     SNAPSHOT_STATE_VERSION,
 };
-pub use engine::{EngineKind, SimConfig, Simulator};
+pub use engine::{SimConfig, Simulator};
 pub use result::{DecisionInfo, JobRecord, RoundLog, SimResult, SolveOutcome, SolverStats};
 pub use scheduler::{AllocationMap, JobView, Scheduler};

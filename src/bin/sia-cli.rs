@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! sia-cli [--cluster hetero64|heteroN|homog64|physical44] [--trace philly|helios|newtrace|physical]
-//!         [--policy sia|pollux|gavel|shockwave|themis] [--engine round|events]
+//!         [--policy sia|pollux|gavel|shockwave|themis]
 //!         [--seed N] [--rate JOBS_PER_HOUR] [--dynamics FILE]
 //!         [--profiling oracle|bootstrap|noprof] [--json]
 //!         [--telemetry-out PATH] [--trace-out PATH] [--trace-format jsonl|chrome]
@@ -91,7 +91,7 @@ use sia::cluster::ClusterSpec;
 use sia::core::SiaPolicy;
 use sia::metrics::{ftf_ratios, summarize, unfair_fraction, worst_ftf};
 use sia::models::ProfilingMode;
-use sia::sim::{EngineKind, Scheduler, SimConfig, Simulator};
+use sia::sim::{Scheduler, SimConfig, Simulator};
 use sia::telemetry::{AuditReport, AuditStream, FlightTrace};
 use sia::workloads::{Trace, TraceConfig, TraceKind};
 
@@ -100,7 +100,6 @@ const VALUE_OPTS: &[&str] = &[
     "--cluster",
     "--trace",
     "--policy",
-    "--engine",
     "--seed",
     "--rate",
     "--dynamics",
@@ -214,8 +213,7 @@ fn main() {
         println!(
             "usage: sia-cli [--cluster hetero64|heteroN|homog64|physical44] \
              [--trace philly|helios|newtrace|physical] \
-             [--policy sia|pollux|gavel|shockwave|themis] \
-             [--engine round|events] [--seed N] \
+             [--policy sia|pollux|gavel|shockwave|themis] [--seed N] \
              [--rate JOBS/HR] [--dynamics FILE] \
              [--profiling oracle|bootstrap|noprof] [--json] \
              [--telemetry-out PATH] [--trace-out PATH] \
@@ -305,15 +303,6 @@ fn main() {
         script
     });
 
-    let engine = match args.opt("--engine").unwrap_or("events") {
-        "round" => EngineKind::Round,
-        "events" => EngineKind::Events,
-        other => {
-            eprintln!("unknown engine {other} (expected round or events)");
-            std::process::exit(2);
-        }
-    };
-
     let trace_out = args.opt("--trace-out");
     let trace_chrome = match args.opt("--trace-format").unwrap_or("jsonl") {
         "jsonl" => false,
@@ -368,7 +357,6 @@ fn main() {
     };
 
     let mut cfg = SimConfig {
-        engine,
         seed,
         profiling_mode: profiling,
         dynamics,
@@ -1073,7 +1061,6 @@ fn run_serve(argv: &[String]) -> ! {
                 Err(e) => fail(&e),
             };
             let cfg = SimConfig {
-                engine: EngineKind::Round,
                 seed,
                 ..SimConfig::default()
             };
@@ -1184,6 +1171,7 @@ fn run_serve(argv: &[String]) -> ! {
         }
         std::process::exit(0);
     }
+    let drained_at = server.now();
     let result = server.into_result();
     if let Some(path) = &trace_out {
         if let Err(e) = std::fs::write(path, result.trace.canonical_jsonl()) {
@@ -1200,8 +1188,7 @@ fn run_serve(argv: &[String]) -> ! {
     if !quiet {
         let s = summarize(&result);
         logger.info(format!(
-            "serve: drained at t={:.0}s — {} jobs, {} unfinished, avg JCT {:.2} h",
-            result.makespan,
+            "serve: drained at t={drained_at}s — {} jobs, {} unfinished, avg JCT {:.2} h",
             result.records.len(),
             s.unfinished,
             s.avg_jct_hours

@@ -1,7 +1,8 @@
-//! End-to-end checks on the decision-audit stream (sia-audit): cross-engine
-//! byte identity of the canonical stream, reconciliation of the derived
-//! report against the simulator's own round log, the JSONL spill file, and
-//! the `sia-cli audit` / `trace-report --audit` surfaces.
+//! End-to-end checks on the decision-audit stream (sia-audit): byte
+//! identity of the canonical stream between the batch and daemon paths,
+//! reconciliation of the derived report against the simulator's own round
+//! log, the JSONL spill file, and the `sia-cli audit` /
+//! `trace-report --audit` surfaces.
 
 use std::path::Path;
 use std::process::Command;
@@ -10,7 +11,7 @@ use serde_json::Value;
 use sia::cluster::ClusterSpec;
 use sia::core::SiaPolicy;
 use sia::models::ProfilingMode;
-use sia::sim::{EngineKind, Scheduler, SimConfig, SimResult, Simulator};
+use sia::sim::{Scheduler, SimConfig, SimDriver, SimResult, Simulator};
 use sia::telemetry::AuditStream;
 use sia::workloads::{Trace, TraceConfig, TraceKind};
 
@@ -30,35 +31,32 @@ fn run_engine(make: &dyn Fn() -> Box<dyn Scheduler>, trace: &Trace, cfg: &SimCon
 
 #[test]
 fn audit_stream_bit_identical_across_engines() {
+    // The batch path (trace preloaded) and the daemon path (stepped request
+    // by request) drive one engine and must record the same audit stream.
     let trace = quick_trace(1);
     for make in [
         (&|| Box::new(SiaPolicy::default()) as Box<dyn Scheduler>)
             as &dyn Fn() -> Box<dyn Scheduler>,
         &|| Box::new(sia::baselines::GavelPolicy::default()),
     ] {
-        let round = run_engine(
-            make,
-            &trace,
-            &SimConfig {
-                engine: EngineKind::Round,
-                seed: 1,
-                ..SimConfig::default()
-            },
-        );
-        let events = run_engine(
-            make,
-            &trace,
-            &SimConfig {
-                engine: EngineKind::Events,
-                seed: 1,
-                ..SimConfig::default()
-            },
-        );
+        let cfg = SimConfig {
+            seed: 1,
+            ..SimConfig::default()
+        };
+        let batch = run_engine(make, &trace, &cfg);
+        let mut sched = make();
+        let mut drv = SimDriver::new(ClusterSpec::heterogeneous_64(), cfg, sched.as_ref());
+        for job in &trace.jobs {
+            drv.step_until(job.submit_time, sched.as_mut());
+            drv.submit(job.clone());
+        }
+        drv.run_to_idle(sched.as_mut());
+        let stepped = drv.finish(sched.as_ref());
         let (a, b) = (
-            round.audit.canonical_jsonl(),
-            events.audit.canonical_jsonl(),
+            batch.audit.canonical_jsonl(),
+            stepped.audit.canonical_jsonl(),
         );
-        assert!(!a.is_empty(), "round engine recorded no audit stream");
+        assert!(!a.is_empty(), "batch run recorded no audit stream");
         if a != b {
             for (i, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
                 assert_eq!(la, lb, "canonical audit streams diverge at record {i}");
@@ -75,29 +73,23 @@ fn audit_stream_bit_identical_across_engines() {
 #[test]
 fn audit_same_seed_reruns_are_byte_identical() {
     let trace = quick_trace(5);
-    for engine in [EngineKind::Round, EngineKind::Events] {
-        let run = || {
-            run_engine(
-                &|| Box::new(SiaPolicy::default()),
-                &trace,
-                &SimConfig {
-                    engine,
-                    seed: 5,
-                    ..SimConfig::default()
-                },
-            )
-        };
-        let (a, b) = (run(), run());
-        assert!(
-            !a.audit.records.is_empty(),
-            "{engine:?} engine recorded no audit stream"
-        );
-        assert_eq!(
-            a.audit.canonical_jsonl(),
-            b.audit.canonical_jsonl(),
-            "{engine:?} audit stream is not deterministic across same-seed runs"
-        );
-    }
+    let run = || {
+        run_engine(
+            &|| Box::new(SiaPolicy::default()),
+            &trace,
+            &SimConfig {
+                seed: 5,
+                ..SimConfig::default()
+            },
+        )
+    };
+    let (a, b) = (run(), run());
+    assert!(!a.audit.records.is_empty(), "no audit stream recorded");
+    assert_eq!(
+        a.audit.canonical_jsonl(),
+        b.audit.canonical_jsonl(),
+        "audit stream is not deterministic across same-seed runs"
+    );
 }
 
 #[test]
@@ -107,7 +99,6 @@ fn audit_report_reconciles_with_sim_result() {
         &|| Box::new(SiaPolicy::default()),
         &trace,
         &SimConfig {
-            engine: EngineKind::Events,
             seed: 7,
             profiling_mode: ProfilingMode::Oracle,
             ..SimConfig::default()
@@ -173,7 +164,6 @@ fn audit_spill_round_trips_and_serialized_gaps_match() {
         &|| Box::new(SiaPolicy::default()),
         &trace,
         &SimConfig {
-            engine: EngineKind::Events,
             seed: 7,
             audit_spill: Some(path.clone()),
             ..SimConfig::default()

@@ -1,17 +1,23 @@
-//! Round engine vs event engine parity.
+//! Determinism of the one simulation engine.
 //!
-//! The event-driven engine replays the round engine's RNG draw order from
-//! an identically-seeded stream, so with failure injection off the two are
-//! bit-identical — not merely statistically close. These tests pin that
-//! guarantee across the Sia policy and two baselines on the
-//! `quick_compare` configuration (hetero-64 cluster, Philly trace), plus
-//! the physical-cluster noise profile.
+//! Batch runs and the daemon share one engine, `SimDriver`, driven two
+//! ways: `Simulator::run` preloads the whole trace and runs to idle, while
+//! the daemon steps the clock to each request and submits jobs one by one.
+//! The `*_engines_bit_identical` tests pin that the two ways agree
+//! record for record; the rerun tests pin that every configuration —
+//! default and physical noise, failure injection, capacity dynamics,
+//! sharded and time-budgeted solves — produces byte-identical canonical
+//! streams run after run; and the snapshot test pins that a restored
+//! driver resumes exactly where the original left off.
 
 use sia::baselines::{GavelPolicy, PolluxPolicy};
 use sia::cluster::ClusterSpec;
 use sia::core::{SiaConfig, SiaPolicy};
-use sia::sim::{EngineKind, Scheduler, SimConfig, SimResult, Simulator};
+use sia::sim::{Scheduler, SimConfig, SimDriver, SimResult, Simulator};
+use sia::telemetry::TraceEvent;
 use sia::workloads::{Trace, TraceConfig, TraceKind};
+
+type Make<'a> = &'a dyn Fn() -> Box<dyn Scheduler>;
 
 /// The quick_compare workload, shortened for debug-mode test budgets.
 fn quick_trace(seed: u64) -> Trace {
@@ -23,102 +29,103 @@ fn quick_trace(seed: u64) -> Trace {
     t
 }
 
-fn run_both(
-    make: &dyn Fn() -> Box<dyn Scheduler>,
-    trace: &Trace,
-    cfg: &SimConfig,
-) -> (SimResult, SimResult) {
-    let spec = ClusterSpec::heterogeneous_64();
-    let round = Simulator::new(
-        spec.clone(),
-        trace,
-        SimConfig {
-            engine: EngineKind::Round,
-            ..cfg.clone()
-        },
-    )
-    .run(make().as_mut());
-    let events = Simulator::new(
-        spec,
-        trace,
-        SimConfig {
-            engine: EngineKind::Events,
-            ..cfg.clone()
-        },
-    )
-    .run(make().as_mut());
-    (round, events)
+/// A batch run: the trace preloaded into a driver, run to idle.
+fn preloaded(make: Make, trace: &Trace, cfg: &SimConfig) -> SimResult {
+    Simulator::new(ClusterSpec::heterogeneous_64(), trace, cfg.clone()).run(make().as_mut())
 }
 
-/// Exact per-job parity: identical completion times, GPU-time accounting
-/// and restart counts, job by job.
-fn assert_bit_parity(round: &SimResult, events: &SimResult) {
-    assert_eq!(round.records.len(), events.records.len(), "admission count");
-    assert_eq!(round.unfinished, events.unfinished);
-    assert_eq!(round.makespan, events.makespan, "makespan");
-    for (r, e) in round.records.iter().zip(&events.records) {
-        assert_eq!(r.id, e.id, "record order");
-        assert_eq!(r.finish_time, e.finish_time, "job {} finish", r.id);
-        assert_eq!(r.first_start, e.first_start, "job {} start", r.id);
-        assert_eq!(r.gpu_seconds, e.gpu_seconds, "job {} gpu-seconds", r.id);
-        assert_eq!(r.restarts, e.restarts, "job {} restarts", r.id);
-        assert_eq!(r.failures, e.failures, "job {} failures", r.id);
-        assert_eq!(r.work_done, e.work_done, "job {} work", r.id);
+/// A daemon-style run: the clock stepped to each submission before it is
+/// submitted, then a drain. Stepping stops at the horizon, where a batch
+/// run stops admitting.
+fn stepped(make: Make, trace: &Trace, cfg: &SimConfig) -> SimResult {
+    let mut sched = make();
+    let mut drv = SimDriver::new(ClusterSpec::heterogeneous_64(), cfg.clone(), sched.as_ref());
+    let horizon = cfg.max_hours * 3600.0;
+    for job in &trace.jobs {
+        drv.step_until(job.submit_time.min(horizon), sched.as_mut());
+        drv.submit(job.clone());
     }
-    // Scheduling decisions must also match round-for-round. The event
-    // engine fast-forwards over rounds with no active jobs (its documented
-    // divergence), so compare against the round engine's non-empty rounds.
-    let busy: Vec<_> = round.rounds.iter().filter(|r| r.active_jobs > 0).collect();
-    assert_eq!(busy.len(), events.rounds.len(), "busy round count");
-    for (a, b) in busy.iter().zip(&events.rounds) {
-        assert_eq!(a.time, b.time, "round time");
-        assert_eq!(a.active_jobs, b.active_jobs, "active at t={}", a.time);
-        assert_eq!(a.allocations, b.allocations, "allocations at t={}", a.time);
-    }
-    // The flight-recorder streams must also agree record-for-record in
-    // canonical form (emission order and the host-wall-clock policy runtime
-    // are the only engine-specific artifacts, and canonicalization erases
-    // exactly those).
-    let (a, b) = (
-        round.trace.canonical_jsonl(),
-        events.trace.canonical_jsonl(),
-    );
-    assert!(!a.is_empty(), "round engine recorded no trace");
+    drv.run_to_idle(sched.as_mut());
+    drv.finish(sched.as_ref())
+}
+
+/// Asserts two canonical streams are equal, naming the first differing
+/// record.
+fn assert_same_stream(a: &str, b: &str, what: &str) {
+    assert!(!a.is_empty(), "{what}: empty stream");
     if a != b {
         for (i, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
-            assert_eq!(la, lb, "canonical trace diverges at record {i}");
+            assert_eq!(la, lb, "{what} diverges at record {i}");
         }
         panic!(
-            "canonical traces diverge in length: {} vs {} records",
+            "{what} diverges in length: {} vs {} records",
             a.lines().count(),
             b.lines().count()
         );
     }
 }
 
+/// Exact run identity: per-job outcomes, round-by-round decisions and the
+/// canonical flight and audit streams.
+fn assert_identical(a: &SimResult, b: &SimResult) {
+    assert_eq!(a.records.len(), b.records.len(), "admission count");
+    assert_eq!(a.unfinished, b.unfinished);
+    assert_eq!(a.makespan, b.makespan, "makespan");
+    for (x, y) in a.records.iter().zip(&b.records) {
+        assert_eq!(x.id, y.id, "record order");
+        assert_eq!(x.finish_time, y.finish_time, "job {} finish", x.id);
+        assert_eq!(x.first_start, y.first_start, "job {} start", x.id);
+        assert_eq!(x.gpu_seconds, y.gpu_seconds, "job {} gpu-seconds", x.id);
+        assert_eq!(x.restarts, y.restarts, "job {} restarts", x.id);
+        assert_eq!(x.failures, y.failures, "job {} failures", x.id);
+        assert_eq!(x.work_done, y.work_done, "job {} work", x.id);
+    }
+    assert_eq!(a.rounds.len(), b.rounds.len(), "round count");
+    for (x, y) in a.rounds.iter().zip(&b.rounds) {
+        assert_eq!(x.time, y.time, "round time");
+        assert_eq!(x.active_jobs, y.active_jobs, "active at t={}", x.time);
+        assert_eq!(x.allocations, y.allocations, "allocations at t={}", x.time);
+    }
+    assert_same_stream(
+        &a.trace.canonical_jsonl(),
+        &b.trace.canonical_jsonl(),
+        "canonical trace",
+    );
+    assert_same_stream(
+        &a.audit.canonical_jsonl(),
+        &b.audit.canonical_jsonl(),
+        "canonical audit",
+    );
+}
+
+fn seeded(seed: u64) -> SimConfig {
+    SimConfig {
+        seed,
+        ..SimConfig::default()
+    }
+}
+
 #[test]
 fn sia_engines_bit_identical() {
     let trace = quick_trace(1);
-    let cfg = SimConfig {
-        seed: 1,
-        ..SimConfig::default()
-    };
-    let (round, events) = run_both(&|| Box::new(SiaPolicy::default()), &trace, &cfg);
-    assert_eq!(round.unfinished, 0, "workload must complete");
-    assert_bit_parity(&round, &events);
+    let make: Make = &|| Box::new(SiaPolicy::default());
+    let batch = preloaded(make, &trace, &seeded(1));
+    assert_eq!(batch.unfinished, 0, "workload must complete");
+    assert_identical(&batch, &stepped(make, &trace, &seeded(1)));
 }
 
 #[test]
 fn baselines_engines_bit_identical() {
     let trace = quick_trace(1);
-    let cfg = SimConfig {
-        seed: 1,
-        ..SimConfig::default()
-    };
-    let (round, events) = run_both(&|| Box::new(PolluxPolicy::default()), &trace, &cfg);
-    assert_bit_parity(&round, &events);
-    let (round, events) = run_both(&|| Box::new(GavelPolicy::default()), &trace, &cfg);
-    assert_bit_parity(&round, &events);
+    for make in [
+        (&|| Box::new(PolluxPolicy::default()) as Box<dyn Scheduler>) as Make,
+        &|| Box::new(GavelPolicy::default()),
+    ] {
+        assert_identical(
+            &preloaded(make, &trace, &seeded(1)),
+            &stepped(make, &trace, &seeded(1)),
+        );
+    }
 }
 
 #[test]
@@ -127,14 +134,16 @@ fn physical_noise_profile_bit_identical() {
     // jitter) — the widest RNG draw surface.
     let trace = quick_trace(2);
     let cfg = SimConfig::physical(9);
-    let (round, events) = run_both(&|| Box::new(SiaPolicy::default()), &trace, &cfg);
-    assert_bit_parity(&round, &events);
+    let make: Make = &|| Box::new(SiaPolicy::default());
+    let batch = preloaded(make, &trace, &cfg);
+    assert_identical(&batch, &preloaded(make, &trace, &cfg));
+    assert_identical(&batch, &stepped(make, &trace, &cfg));
 }
 
 #[test]
 fn horizon_truncation_matches() {
-    // Jobs left running at the horizon: both engines must admit the same
-    // set and leave identical partial progress.
+    // Jobs left running at the horizon: both ways of driving the engine
+    // must admit the same set and leave identical partial progress.
     let mut trace = quick_trace(3);
     for j in &mut trace.jobs {
         j.work_target *= 400.0;
@@ -144,47 +153,32 @@ fn horizon_truncation_matches() {
         max_hours: 0.5,
         ..SimConfig::default()
     };
-    let (round, events) = run_both(&|| Box::new(SiaPolicy::default()), &trace, &cfg);
-    assert!(round.unfinished > 0, "horizon must truncate the workload");
-    assert_bit_parity(&round, &events);
+    let make: Make = &|| Box::new(SiaPolicy::default());
+    let batch = preloaded(make, &trace, &cfg);
+    assert!(batch.unfinished > 0, "horizon must truncate the workload");
+    assert!(
+        batch.records.len() < trace.jobs.len(),
+        "some submissions must fall past the horizon"
+    );
+    assert_identical(&batch, &stepped(make, &trace, &cfg));
 }
 
 #[test]
 fn same_seed_reruns_are_byte_identical() {
-    // Determinism within each engine: two runs of the identical
-    // configuration must produce byte-identical canonical trace streams
-    // (and, modulo wall-clock, identical raw streams — the canonical form
-    // only zeroes `policy_runtime_s` and normalizes order).
+    // Two runs of the identical configuration must produce byte-identical
+    // canonical streams, and the same raw record sequence: only the
+    // wall-clock policy_runtime field may differ.
     let trace = quick_trace(5);
-    let cfg = SimConfig {
-        seed: 5,
-        ..SimConfig::default()
-    };
-    for engine in [EngineKind::Round, EngineKind::Events] {
-        let run = || {
-            Simulator::new(
-                ClusterSpec::heterogeneous_64(),
-                &trace,
-                SimConfig {
-                    engine,
-                    ..cfg.clone()
-                },
-            )
-            .run(Box::new(SiaPolicy::default()).as_mut())
-        };
-        let (a, b) = (run(), run());
-        assert!(
-            !a.trace.records.is_empty(),
-            "{engine:?} engine recorded no trace"
+    for make in [
+        (&|| Box::new(SiaPolicy::default()) as Box<dyn Scheduler>) as Make,
+        &|| Box::new(PolluxPolicy::default()),
+        &|| Box::new(GavelPolicy::default()),
+    ] {
+        let (a, b) = (
+            preloaded(make, &trace, &seeded(5)),
+            preloaded(make, &trace, &seeded(5)),
         );
-        assert_eq!(
-            a.trace.canonical_jsonl(),
-            b.trace.canonical_jsonl(),
-            "{engine:?} engine is not deterministic across same-seed runs"
-        );
-        // Raw emission order is deterministic too: the record sequence
-        // (timestamps, kinds, payloads) matches 1:1; only the wall-clock
-        // policy_runtime field may differ.
+        assert_identical(&a, &b);
         assert_eq!(a.trace.records.len(), b.trace.records.len());
         for (ra, rb) in a.trace.records.iter().zip(&b.trace.records) {
             assert_eq!(ra.t, rb.t, "raw emission timestamps diverge");
@@ -212,40 +206,22 @@ fn sharded_sia(workers: usize) -> Box<dyn Scheduler> {
 
 #[test]
 fn sharded_engines_bit_identical() {
-    // The decomposed solve path must preserve the engine-parity guarantee.
     let trace = quick_trace(1);
-    let cfg = SimConfig {
-        seed: 1,
-        ..SimConfig::default()
-    };
-    let (round, events) = run_both(&|| sharded_sia(1), &trace, &cfg);
-    assert_bit_parity(&round, &events);
+    let make: Make = &|| sharded_sia(1);
+    assert_identical(
+        &preloaded(make, &trace, &seeded(1)),
+        &stepped(make, &trace, &seeded(1)),
+    );
 }
 
 #[test]
 fn sharded_worker_counts_are_byte_identical() {
     // Shards are solved on the deterministic worker pool and merged in
-    // plan order, so the worker count must never leak into the trace:
+    // plan order, so the worker count must never leak into the streams:
     // 1 worker, 2 workers and auto all produce byte-identical canonical
     // streams with the time budget active.
     let trace = quick_trace(6);
-    let run = |workers: usize| {
-        Simulator::new(
-            ClusterSpec::heterogeneous_64(),
-            &trace,
-            SimConfig {
-                engine: EngineKind::Events,
-                seed: 6,
-                ..SimConfig::default()
-            },
-        )
-        .run(sharded_sia(workers).as_mut())
-    };
-    let base = run(1);
-    assert!(
-        !base.trace.records.is_empty(),
-        "sharded run recorded no trace"
-    );
+    let base = preloaded(&|| sharded_sia(1), &trace, &seeded(6));
     assert!(
         base.rounds
             .iter()
@@ -253,14 +229,9 @@ fn sharded_worker_counts_are_byte_identical() {
             .any(|s| s.shards > 1),
         "workload never took the multi-shard path"
     );
-    let canon = base.trace.canonical_jsonl();
     for workers in [2, 0] {
-        let other = run(workers);
-        assert_eq!(
-            canon,
-            other.trace.canonical_jsonl(),
-            "worker count {workers} changed the canonical trace"
-        );
+        let other = preloaded(&|| sharded_sia(workers), &trace, &seeded(6));
+        assert_identical(&base, &other);
     }
 }
 
@@ -270,59 +241,36 @@ fn monolithic_time_budget_is_deterministic() {
     // budget (not a wall-clock check), so same-seed reruns with the budget
     // active stay byte-identical even when the budget truncates the search.
     let trace = quick_trace(7);
-    let run = || {
-        Simulator::new(
-            ClusterSpec::heterogeneous_64(),
-            &trace,
-            SimConfig {
-                engine: EngineKind::Events,
-                seed: 7,
-                ..SimConfig::default()
-            },
-        )
-        .run(
-            Box::new(SiaPolicy::new(SiaConfig {
-                // Tight enough to clip branch-and-bound on this trace.
-                round_budget: Some(1e-4),
-                ..SiaConfig::default()
-            }))
-            .as_mut(),
-        )
+    let make: Make = &|| {
+        Box::new(SiaPolicy::new(SiaConfig {
+            // Tight enough to clip branch-and-bound on this trace.
+            round_budget: Some(1e-4),
+            ..SiaConfig::default()
+        }))
     };
-    let (a, b) = (run(), run());
-    assert!(!a.trace.records.is_empty());
-    assert_eq!(
-        a.trace.canonical_jsonl(),
-        b.trace.canonical_jsonl(),
-        "time-budgeted solve is not deterministic across same-seed runs"
+    assert_identical(
+        &preloaded(make, &trace, &seeded(7)),
+        &preloaded(make, &trace, &seeded(7)),
     );
 }
 
 #[test]
-fn failure_injection_stays_on_summary_parity() {
-    // With failures on the engines model different processes (per-round
-    // Poisson counts vs exact-time exponential arrivals), so only summary
-    // statistics are comparable: both must observe failures, and outcomes
-    // must remain in the same regime.
+fn failure_injection_reruns_are_byte_identical() {
+    // Failures are exact-time events on their own RNG stream: reruns and
+    // request-by-request stepping reproduce every failure instant.
     let trace = quick_trace(4);
     let cfg = SimConfig {
         seed: 4,
         failure_rate_per_gpu_hour: 1.0,
         ..SimConfig::default()
     };
-    let (round, events) = run_both(&|| Box::new(SiaPolicy::default()), &trace, &cfg);
-    let failures = |r: &SimResult| r.records.iter().map(|j| u64::from(j.failures)).sum::<u64>();
-    assert!(failures(&round) > 0, "round engine saw no failures");
-    assert!(failures(&events) > 0, "event engine saw no failures");
-    let avg = |r: &SimResult| {
-        let jcts: Vec<f64> = r.records.iter().filter_map(|j| j.jct()).collect();
-        jcts.iter().sum::<f64>() / jcts.len().max(1) as f64
-    };
-    let (a, b) = (avg(&round), avg(&events));
-    assert!(
-        (a - b).abs() <= 0.5 * a.max(b),
-        "failure-regime JCTs diverged: round {a} vs events {b}"
-    );
+    let make: Make = &|| Box::new(SiaPolicy::default());
+    let batch = preloaded(make, &trace, &cfg);
+    let failures: u32 = batch.records.iter().map(|j| j.failures).sum();
+    assert!(failures > 0, "no failure was injected");
+    assert!(batch.trace.canonical_jsonl().contains("\"ev\":\"failed\""));
+    assert_identical(&batch, &preloaded(make, &trace, &cfg));
+    assert_identical(&batch, &stepped(make, &trace, &cfg));
 }
 
 /// A fixed capacity-dynamics script exercising every event kind inside the
@@ -371,24 +319,26 @@ fn fixed_dynamics() -> sia::dynamics::DynamicsScript {
         )
 }
 
+fn with_dynamics(seed: u64) -> SimConfig {
+    SimConfig {
+        seed,
+        dynamics: Some(fixed_dynamics()),
+        ..SimConfig::default()
+    }
+}
+
 #[test]
 fn dynamics_engines_bit_identical() {
     let trace = quick_trace(6);
-    let cfg = SimConfig {
-        seed: 6,
-        dynamics: Some(fixed_dynamics()),
-        ..SimConfig::default()
-    };
     for make in [
-        (&|| Box::new(SiaPolicy::default()) as Box<dyn Scheduler>)
-            as &dyn Fn() -> Box<dyn Scheduler>,
+        (&|| Box::new(SiaPolicy::default()) as Box<dyn Scheduler>) as Make,
         &|| Box::new(GavelPolicy::default()),
     ] {
-        let (round, events) = run_both(make, &trace, &cfg);
-        assert_bit_parity(&round, &events);
+        let batch = preloaded(make, &trace, &with_dynamics(6));
+        assert_identical(&batch, &stepped(make, &trace, &with_dynamics(6)));
         // The script must actually bite: capacity records present, and at
         // least one job lost its placement to a capacity change.
-        let canon = round.trace.canonical_jsonl();
+        let canon = batch.trace.canonical_jsonl();
         for kind in [
             "capacity_removed",
             "capacity_added",
@@ -410,27 +360,11 @@ fn dynamics_engines_bit_identical() {
 #[test]
 fn dynamics_same_seed_reruns_are_byte_identical() {
     let trace = quick_trace(6);
-    for engine in [EngineKind::Round, EngineKind::Events] {
-        let run = || {
-            Simulator::new(
-                ClusterSpec::heterogeneous_64(),
-                &trace,
-                SimConfig {
-                    engine,
-                    seed: 6,
-                    dynamics: Some(fixed_dynamics()),
-                    ..SimConfig::default()
-                },
-            )
-            .run(Box::new(SiaPolicy::default()).as_mut())
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(
-            a.trace.canonical_jsonl(),
-            b.trace.canonical_jsonl(),
-            "{engine:?} engine is not deterministic with dynamics enabled"
-        );
-    }
+    let make: Make = &|| Box::new(SiaPolicy::default());
+    assert_identical(
+        &preloaded(make, &trace, &with_dynamics(6)),
+        &preloaded(make, &trace, &with_dynamics(6)),
+    );
 }
 
 #[test]
@@ -439,26 +373,86 @@ fn empty_dynamics_script_matches_dynamics_none() {
     // script through the runtime must not perturb a single RNG draw,
     // version bump, or trace byte relative to running with no dynamics.
     let trace = quick_trace(7);
-    for engine in [EngineKind::Round, EngineKind::Events] {
-        let run = |dynamics: Option<sia::dynamics::DynamicsScript>| {
-            Simulator::new(
-                ClusterSpec::heterogeneous_64(),
-                &trace,
-                SimConfig {
-                    engine,
-                    seed: 7,
-                    dynamics,
-                    ..SimConfig::default()
-                },
-            )
-            .run(Box::new(SiaPolicy::default()).as_mut())
-        };
-        let without = run(None);
-        let with = run(Some(sia::dynamics::DynamicsScript::new()));
-        assert_eq!(
-            without.trace.canonical_jsonl(),
-            with.trace.canonical_jsonl(),
-            "{engine:?}: an empty dynamics script changed the simulation"
-        );
+    let make: Make = &|| Box::new(SiaPolicy::default());
+    let without = preloaded(make, &trace, &seeded(7));
+    let with = preloaded(
+        make,
+        &trace,
+        &SimConfig {
+            dynamics: Some(sia::dynamics::DynamicsScript::new()),
+            ..seeded(7)
+        },
+    );
+    assert_identical(&without, &with);
+}
+
+#[test]
+fn snapshot_restore_resumes_with_a_restart_and_a_completion_in_flight() {
+    let trace = quick_trace(8);
+    let cfg = SimConfig::physical(8);
+    let make: Make = &|| Box::new(SiaPolicy::default());
+    let base = preloaded(make, &trace, &cfg);
+
+    // Cut at the first boundary where one job is still paying a checkpoint
+    // restore that started before it, and another job completes in the
+    // round right after it.
+    let round = 60.0;
+    let records = &base.trace.records;
+    let restoring = |cut: f64| {
+        records.iter().any(|fin| {
+            let TraceEvent::RestartFinished { job } = fin.ev else {
+                return false;
+            };
+            let started = records
+                .iter()
+                .filter(|r| r.t <= fin.t)
+                .filter(|r| matches!(r.ev, TraceEvent::RestartStarted { job: j, .. } if j == job))
+                .map(|r| r.t)
+                .fold(f64::NEG_INFINITY, f64::max);
+            started < cut && fin.t > cut
+        })
+    };
+    let completing = |cut: f64| {
+        base.records
+            .iter()
+            .any(|r| r.finish_time.is_some_and(|t| t > cut && t <= cut + round))
+    };
+    let cut = (1..)
+        .map(|k| k as f64 * round)
+        .take_while(|&t| t < base.makespan)
+        .find(|&t| restoring(t) && completing(t))
+        .expect("no cut point with a restore and a completion in flight");
+
+    let mut sched = make();
+    let mut drv = SimDriver::new(ClusterSpec::heterogeneous_64(), cfg.clone(), sched.as_ref());
+    let (before, after): (Vec<_>, Vec<_>) = trace.jobs.iter().partition(|j| j.submit_time <= cut);
+    for job in before {
+        drv.step_until(job.submit_time, sched.as_mut());
+        drv.submit(job.clone());
     }
+    drv.step_until(cut, sched.as_mut());
+    let payload = serde_json::to_string(&drv.snapshot(sched.as_ref()).unwrap()).unwrap();
+    drop(drv);
+
+    let mut sched = make();
+    let mut resumed = SimDriver::restore(&serde_json::from_str(&payload).unwrap(), sched.as_mut())
+        .expect("snapshot restores");
+    assert_eq!(resumed.now(), cut);
+    for job in after {
+        resumed.step_until(job.submit_time, sched.as_mut());
+        resumed.submit(job.clone());
+    }
+    resumed.run_to_idle(sched.as_mut());
+    let result = resumed.finish(sched.as_ref());
+    assert_same_stream(
+        &base.trace.canonical_jsonl(),
+        &result.trace.canonical_jsonl(),
+        "resumed canonical trace",
+    );
+    assert_same_stream(
+        &base.audit.canonical_jsonl(),
+        &result.audit.canonical_jsonl(),
+        "resumed canonical audit",
+    );
+    assert_eq!(base.makespan, result.makespan);
 }

@@ -1,6 +1,7 @@
 //! End-to-end tests for the `sia-serve` daemon and its CLI surface:
-//! replay parity with the batch engine, snapshot/kill/restore losslessness
-//! through the real binary, the `trace-to-stream` converter, and the
+//! replay parity with the batch run, snapshot/kill/restore losslessness
+//! through the real binary, hostile input (deep JSON nesting, jobs no GPU
+//! type can hold), the drain log, the `trace-to-stream` converter, and the
 //! mutually-exclusive-flag exit codes.
 
 use std::io::Write;
@@ -9,7 +10,7 @@ use std::process::{Command, Stdio};
 use serde_json::Value;
 use sia::cluster::ClusterSpec;
 use sia::core::SiaPolicy;
-use sia::sim::{EngineKind, SimConfig, Simulator};
+use sia::sim::{SimConfig, Simulator};
 use sia::workloads::{trace_to_stream_jsonl, StreamOptions, Trace, TraceConfig, TraceKind};
 
 fn cli() -> Command {
@@ -31,6 +32,12 @@ fn small_trace(n: usize) -> Trace {
 
 /// Runs `sia-cli serve` with `lines` on stdin and returns (status, stdout).
 fn serve_with_input(args: &[&str], lines: &str) -> (std::process::ExitStatus, String) {
+    let out = serve_output(args, lines);
+    (out.status, String::from_utf8_lossy(&out.stdout).to_string())
+}
+
+/// Runs `sia-cli serve` with `lines` on stdin and returns its full output.
+fn serve_output(args: &[&str], lines: &str) -> std::process::Output {
     let mut child = cli()
         .arg("serve")
         .args(args)
@@ -45,20 +52,34 @@ fn serve_with_input(args: &[&str], lines: &str) -> (std::process::ExitStatus, St
         .unwrap()
         .write_all(lines.as_bytes())
         .expect("write stream");
-    let out = child.wait_with_output().expect("serve run");
-    (out.status, String::from_utf8_lossy(&out.stdout).to_string())
+    child.wait_with_output().expect("serve run")
+}
+
+/// The stdout JSONL values of a serve run.
+fn values(stdout: &[u8]) -> Vec<Value> {
+    String::from_utf8_lossy(stdout)
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("stdout is JSONL"))
+        .collect()
+}
+
+/// The response carrying request id `id`.
+fn response<'a>(values: &'a [Value], id: &str) -> &'a Value {
+    values
+        .iter()
+        .find(|v| v.get("id").and_then(Value::as_str) == Some(id))
+        .unwrap_or_else(|| panic!("no response for {id}"))
 }
 
 #[test]
 fn serve_replay_reproduces_the_batch_trace() {
     let trace = small_trace(10);
-    // Ground truth: the batch round engine over the identical trace,
-    // cluster, seed and config the daemon uses.
+    // Ground truth: the batch run over the identical trace, cluster, seed
+    // and config the daemon uses.
     let batch = Simulator::new(
         ClusterSpec::heterogeneous_64(),
         &trace,
         SimConfig {
-            engine: EngineKind::Round,
             seed: 1,
             ..SimConfig::default()
         },
@@ -200,6 +221,114 @@ fn serve_snapshot_kill_restore_is_lossless_through_the_cli() {
     std::fs::remove_file(&full_trace).ok();
     std::fs::remove_file(&resumed_trace).ok();
     std::fs::remove_file(&snap).ok();
+}
+
+#[test]
+fn serve_answers_deeply_nested_json_with_one_error() {
+    // Far deeper than the parser's nesting cap: the line must be answered
+    // like any other malformed request, not overflow the stack.
+    let input = format!(
+        "{}\n{{\"id\":\"q\",\"cmd\":\"query\"}}\n{{\"id\":\"bye\",\"cmd\":\"shutdown\"}}\n",
+        "[".repeat(200_000)
+    );
+    let out = serve_output(&["--quiet"], &input);
+    assert_eq!(out.status.code(), Some(0));
+    let values = values(&out.stdout);
+    let errors: Vec<&Value> = values
+        .iter()
+        .filter(|v| v.get("ok") == Some(&Value::Bool(false)))
+        .collect();
+    assert_eq!(errors.len(), 1, "{values:?}");
+    assert_eq!(
+        errors[0].get("event").and_then(Value::as_str),
+        Some("error")
+    );
+    assert_eq!(response(&values, "q").get("ok"), Some(&Value::Bool(true)));
+    assert_eq!(
+        response(&values, "bye")
+            .get("event")
+            .and_then(Value::as_str),
+        Some("shutdown")
+    );
+}
+
+#[test]
+fn serve_rejects_jobs_no_gpu_type_can_hold() {
+    // hetero64's largest GPU types (t4, rtx) have 24 GPUs each.
+    let mut trace = small_trace(2);
+    trace.jobs[0].min_gpus = 24;
+    trace.jobs[0].max_gpus = 24;
+    trace.jobs[1].min_gpus = 50_000;
+    trace.jobs[1].max_gpus = 50_000;
+    let mut stream = trace_to_stream_jsonl(
+        &trace,
+        &StreamOptions {
+            shutdown: false,
+            ..StreamOptions::default()
+        },
+    );
+    let fits = trace.jobs[0].id.0;
+    stream.push_str(&format!(
+        "{{\"id\":\"c\",\"cmd\":\"cancel\",\"job\":{fits}}}\n{{\"id\":\"bye\",\"cmd\":\"shutdown\"}}\n"
+    ));
+    let audit_out = tmp("unschedulable_audit.jsonl");
+    let out = serve_output(
+        &["--quiet", "--audit-out", audit_out.to_str().unwrap()],
+        &stream,
+    );
+    assert_eq!(out.status.code(), Some(0));
+    let values = values(&out.stdout);
+    let admitted = response(&values, &format!("sub-{}", trace.jobs[0].id));
+    assert_eq!(
+        admitted.get("event").and_then(Value::as_str),
+        Some("admitted")
+    );
+    let rejected = response(&values, &format!("sub-{}", trace.jobs[1].id));
+    assert_eq!(
+        rejected.get("event").and_then(Value::as_str),
+        Some("rejected")
+    );
+    assert_eq!(
+        rejected.get("stage").and_then(Value::as_str),
+        Some("schema")
+    );
+    let reason = rejected.get("reason").and_then(Value::as_str).unwrap();
+    assert!(reason.starts_with("unschedulable"), "{reason}");
+    // Nothing unschedulable is left behind for the drain to wait on.
+    let bye = response(&values, "bye");
+    assert_eq!(bye.get("unfinished").and_then(Value::as_u64), Some(0));
+
+    let audit = std::fs::read_to_string(&audit_out).unwrap();
+    let rejection = audit
+        .lines()
+        .find(|l| l.contains("\"ev\":\"admission\"") && l.contains("unschedulable"))
+        .expect("typed rejection in the audit stream");
+    assert!(rejection.contains(&format!("\"job\":{}", trace.jobs[1].id.0)));
+    std::fs::remove_file(&audit_out).ok();
+}
+
+#[test]
+fn serve_logs_the_drain_instant_it_reports() {
+    let trace = small_trace(3);
+    let stream = trace_to_stream_jsonl(&trace, &StreamOptions::default());
+    let out = serve_output(&["--seed", "2"], &stream);
+    assert_eq!(out.status.code(), Some(0));
+    let values = values(&out.stdout);
+    let now = values
+        .iter()
+        .find(|v| v.get("event").and_then(Value::as_str) == Some("shutdown"))
+        .and_then(|v| v.get("now"))
+        .and_then(Value::as_f64)
+        .expect("shutdown response carries now");
+    assert!(now > 0.0);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let logged: f64 = stderr
+        .lines()
+        .find_map(|l| l.split("drained at t=").nth(1))
+        .and_then(|rest| rest.split('s').next())
+        .and_then(|t| t.parse().ok())
+        .unwrap_or_else(|| panic!("no drain line in: {stderr}"));
+    assert_eq!(logged, now);
 }
 
 #[test]

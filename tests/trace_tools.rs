@@ -10,7 +10,7 @@ use serde_json::Value;
 use sia::cluster::ClusterSpec;
 use sia::core::SiaPolicy;
 use sia::models::ProfilingMode;
-use sia::sim::{EngineKind, SimConfig, SimResult, Simulator};
+use sia::sim::{SimConfig, SimResult, Simulator};
 use sia::telemetry::{AllocReason, FlightRecorder, FlightTrace, TraceEvent};
 use sia::workloads::{Trace, TraceConfig, TraceKind};
 
@@ -24,7 +24,6 @@ fn small_run(spill: Option<&Path>) -> SimResult {
         j.work_target *= 0.05;
     }
     let cfg = SimConfig {
-        engine: EngineKind::Events,
         seed: 7,
         profiling_mode: ProfilingMode::Oracle,
         trace_spill: spill.map(Into::into),
@@ -382,7 +381,6 @@ fn trace_report_surfaces_capacity_timeline_from_dynamics_run() {
             },
         );
     let cfg = SimConfig {
-        engine: EngineKind::Events,
         seed: 7,
         profiling_mode: ProfilingMode::Oracle,
         trace_spill: Some(spill.clone()),
