@@ -33,7 +33,7 @@ pub mod stats;
 
 pub use log::{LogLevel, Logger};
 pub use observe::Observe;
-pub use protocol::{parse_request, Command, Request};
+pub use protocol::{parse_request, Command, Request, MAX_LINE_BYTES};
 pub use quota::{
     AdmissionContext, AdmissionStage, QuotaLedger, QuotaStage, Rejection, SchemaStage,
 };

@@ -18,9 +18,85 @@
 //! static trace file into such a stream). `gpu_hours` is the quota charge
 //! the tenant pays on admission (refunded in full on cancellation);
 //! omitted, it defaults to zero.
+//!
+//! Lines are read as bytes: a line longer than [`MAX_LINE_BYTES`] is
+//! answered with a `line-too-long` error and one that is not UTF-8 with a
+//! `bad-utf8` error, both shaped like the error for malformed JSON, and
+//! the daemon reads on.
+
+use std::io::{BufRead, Read};
 
 use serde_json::{FromJson, Value};
 use sia_workloads::JobSpec;
+
+/// The longest request line the daemon reads, in bytes, up to but
+/// excluding its `\n`.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// One line read off the request stream.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum RequestLine {
+    /// A UTF-8 line, its `\n` or `\r\n` terminator removed.
+    Text(String),
+    /// A line refused before parsing, with the typed reason to answer it
+    /// with (`line-too-long: …` or `bad-utf8: …`).
+    Refused(String),
+}
+
+/// Splits a byte stream into [`RequestLine`]s. It holds at most
+/// [`MAX_LINE_BYTES`] (plus one) bytes of a line in memory: the rest of an
+/// over-long line is consumed and discarded as it arrives.
+#[derive(Debug)]
+pub(crate) struct RequestLines<R> {
+    input: R,
+    buf: Vec<u8>,
+}
+
+impl<R: BufRead> RequestLines<R> {
+    /// Reads request lines from `input`.
+    pub(crate) fn new(input: R) -> Self {
+        RequestLines {
+            input,
+            buf: Vec::new(),
+        }
+    }
+
+    /// The next line, `None` at end of input.
+    fn read_line(&mut self) -> std::io::Result<Option<RequestLine>> {
+        self.buf.clear();
+        // One byte past the cap: room for the newline, or proof of excess.
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        let read = (&mut self.input)
+            .take(limit)
+            .read_until(b'\n', &mut self.buf)?;
+        if read == 0 {
+            return Ok(None);
+        }
+        if self.buf.last() == Some(&b'\n') {
+            self.buf.pop();
+            if self.buf.last() == Some(&b'\r') {
+                self.buf.pop();
+            }
+        } else if self.buf.len() > MAX_LINE_BYTES {
+            self.input.skip_until(b'\n')?;
+            return Ok(Some(RequestLine::Refused(format!(
+                "line-too-long: request line exceeds {MAX_LINE_BYTES} bytes"
+            ))));
+        }
+        Ok(Some(match std::str::from_utf8(&self.buf) {
+            Ok(text) => RequestLine::Text(text.to_string()),
+            Err(e) => RequestLine::Refused(format!("bad-utf8: request line is not UTF-8: {e}")),
+        }))
+    }
+}
+
+impl<R: BufRead> Iterator for RequestLines<R> {
+    type Item = std::io::Result<RequestLine>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.read_line().transpose()
+    }
+}
 
 /// One parsed request line.
 #[derive(Debug, Clone)]
@@ -200,5 +276,40 @@ mod tests {
         assert_eq!(id.as_deref(), Some("y"));
         let (_, msg) = parse_request(r#"{"id":"z","cmd":"cancel","at":-5,"job":1}"#).unwrap_err();
         assert!(msg.contains("bad at"));
+    }
+
+    fn read_all(input: &[u8], chunk: usize) -> Vec<RequestLine> {
+        let reader = std::io::BufReader::with_capacity(chunk, input);
+        RequestLines::new(reader).map(Result::unwrap).collect()
+    }
+
+    fn text(s: &str) -> RequestLine {
+        RequestLine::Text(s.to_string())
+    }
+
+    #[test]
+    fn request_lines_split_like_bufread_lines() {
+        let input = b"a\r\n\nbc\nlast";
+        for chunk in [1, 2, 3, 64] {
+            assert_eq!(
+                read_all(input, chunk),
+                vec![text("a"), text(""), text("bc"), text("last")]
+            );
+        }
+        assert!(read_all(b"", 8).is_empty());
+    }
+
+    #[test]
+    fn request_lines_refuse_long_and_non_utf8_lines_and_read_on() {
+        let mut input = vec![b'x'; MAX_LINE_BYTES];
+        input.push(b'\n');
+        input.resize(input.len() + MAX_LINE_BYTES + 1, b'y');
+        input.extend_from_slice(b"\n\xff\xfe\nok\n");
+        let lines = read_all(&input, 4096);
+        assert_eq!(lines.len(), 4);
+        assert_eq!(lines[0], text(&"x".repeat(MAX_LINE_BYTES)));
+        assert!(matches!(&lines[1], RequestLine::Refused(r) if r.starts_with("line-too-long")));
+        assert!(matches!(&lines[2], RequestLine::Refused(r) if r.starts_with("bad-utf8")));
+        assert_eq!(lines[3], text("ok"));
     }
 }

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use serde_json::{json, Value};
 use sia_cluster::ClusterView;
-use sia_workloads::JobSpec;
+use sia_workloads::{Adaptivity, JobSpec};
 
 /// Typed rejection: which stage refused and a stable reason label
 /// (`invalid-spec`, `duplicate-id`, `unschedulable`, `queue-full`,
@@ -64,8 +64,9 @@ pub trait AdmissionStage {
     fn check(&self, ctx: &AdmissionContext<'_>, ledger: &QuotaLedger) -> Result<(), Rejection>;
 }
 
-/// Schema validation: the spec must be internally consistent, and its
-/// minimum GPU count must fit on one GPU type of the cluster, before any
+/// Schema validation: the spec must be internally consistent, a pinned
+/// batch size finite and positive, and its minimum (or, for a rigid job,
+/// pinned) GPU count must fit on one GPU type of the cluster, before any
 /// resource accounting happens.
 #[derive(Debug, Default)]
 pub struct SchemaStage;
@@ -107,6 +108,27 @@ impl AdmissionStage for SchemaStage {
                 "invalid-spec: submit_time must be finite and non-negative",
             ));
         }
+        // The models layer asserts on a pinned batch it cannot run.
+        let (batch, rigid_gpus) = match j.adaptivity {
+            Adaptivity::Adaptive => (None, None),
+            Adaptivity::StrongScaling { batch_size } => (Some(batch_size), None),
+            Adaptivity::Rigid {
+                batch_size,
+                num_gpus,
+            } => (Some(batch_size), Some(num_gpus)),
+        };
+        if batch.is_some_and(|b| !b.is_finite() || b <= 0.0) {
+            return Err(Rejection::new(
+                self.name(),
+                "invalid-spec: batch_size must be finite and positive",
+            ));
+        }
+        if rigid_gpus == Some(0) {
+            return Err(Rejection::new(
+                self.name(),
+                "invalid-spec: num_gpus must be >= 1",
+            ));
+        }
         // Placements never mix GPU types, so a job larger than every type's
         // active capacity would wait forever.
         let cluster = ctx.cluster;
@@ -115,14 +137,15 @@ impl AdmissionStage for SchemaStage {
             .map(|t| cluster.gpus_of_type(t))
             .max()
             .unwrap_or(0);
-        if j.min_gpus > largest {
-            return Err(Rejection::new(
-                self.name(),
-                format!(
-                    "unschedulable: min_gpus {} exceeds the largest GPU type ({largest} active GPUs)",
-                    j.min_gpus
-                ),
-            ));
+        for (field, gpus) in [("min_gpus", Some(j.min_gpus)), ("num_gpus", rigid_gpus)] {
+            if let Some(gpus) = gpus.filter(|&g| g > largest) {
+                return Err(Rejection::new(
+                    self.name(),
+                    format!(
+                        "unschedulable: {field} {gpus} exceeds the largest GPU type ({largest} active GPUs)"
+                    ),
+                ));
+            }
         }
         Ok(())
     }
@@ -350,5 +373,48 @@ mod tests {
     fn rejection_label_strips_detail() {
         let r = Rejection::new("quota", "queue-full: 5 pending (cap 5)");
         assert_eq!(r.label(), "queue-full");
+    }
+
+    #[test]
+    fn schema_rejects_pinned_shapes_no_round_can_run() {
+        use sia_workloads::{Trace, TraceConfig, TraceKind};
+        // hetero64's largest GPU types hold 24 GPUs each.
+        let cluster = ClusterView::new(sia_cluster::ClusterSpec::heterogeneous_64());
+        let job = Trace::generate(&TraceConfig::new(TraceKind::Philly, 3)).jobs[0].clone();
+        let check = |adaptivity: Adaptivity| {
+            let job = JobSpec {
+                adaptivity,
+                ..job.clone()
+            };
+            let ctx = AdmissionContext {
+                job: &job,
+                tenant: "t",
+                charge_gpu_hours: 0.0,
+                pending: 0,
+                duplicate_id: false,
+                cluster: &cluster,
+            };
+            match SchemaStage.check(&ctx, &QuotaLedger::default()) {
+                Ok(()) => "ok".to_string(),
+                Err(r) => r.label().to_string(),
+            }
+        };
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let strong = Adaptivity::StrongScaling { batch_size: bad };
+            assert_eq!(check(strong), "invalid-spec", "batch {bad}");
+            let rigid = Adaptivity::Rigid {
+                batch_size: bad,
+                num_gpus: 2,
+            };
+            assert_eq!(check(rigid), "invalid-spec", "batch {bad}");
+        }
+        let rigid = |num_gpus| Adaptivity::Rigid {
+            batch_size: 256.0,
+            num_gpus,
+        };
+        assert_eq!(check(rigid(0)), "invalid-spec");
+        assert_eq!(check(rigid(25)), "unschedulable");
+        assert_eq!(check(rigid(24)), "ok");
+        assert_eq!(check(Adaptivity::StrongScaling { batch_size: 256.0 }), "ok");
     }
 }

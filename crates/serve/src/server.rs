@@ -13,7 +13,7 @@ use sia_sim::{
 };
 
 use crate::observe::{self, Observe};
-use crate::protocol::{parse_request, Command};
+use crate::protocol::{parse_request, Command, RequestLine, RequestLines};
 use crate::quota::{AdmissionContext, AdmissionStage, QuotaLedger, QuotaStage, SchemaStage};
 use crate::snapshot::write_snapshot;
 
@@ -647,6 +647,13 @@ fn write_values(out: &mut impl Write, values: &[Value]) -> std::io::Result<()> {
     out.flush()
 }
 
+/// The error answering a line [`RequestLines`] refused, shaped like the
+/// one for a line that is not JSON.
+fn refusal(reason: &str) -> Value {
+    observe::record_request("invalid", 0.0);
+    json!({ "id": Value::Null, "ok": false, "event": "error", "reason": reason })
+}
+
 /// Replay-paced serving loop: reads request lines from `input` until
 /// `shutdown` or EOF, writing responses/events to `out`. Returns `true`
 /// on a clean shutdown, `false` on EOF without one (the "killed daemon"
@@ -656,12 +663,12 @@ pub fn serve_replay<R: BufRead, W: Write>(
     input: R,
     out: &mut W,
 ) -> std::io::Result<bool> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let values = server.handle(&line);
+    for line in RequestLines::new(input) {
+        let values = match line? {
+            RequestLine::Text(line) if line.trim().is_empty() => continue,
+            RequestLine::Text(line) => server.handle(&line),
+            RequestLine::Refused(reason) => vec![refusal(&reason)],
+        };
         write_values(out, &values)?;
         if let Some(hb) = server.maybe_heartbeat_virtual() {
             write_values(out, &[hb])?;
@@ -688,9 +695,9 @@ where
     W: Write,
 {
     assert!(speed > 0.0 && speed.is_finite(), "speed must be positive");
-    let (tx, rx) = mpsc::channel::<String>();
+    let (tx, rx) = mpsc::channel::<RequestLine>();
     let reader = std::thread::spawn(move || {
-        for line in input.lines() {
+        for line in RequestLines::new(input) {
             let Ok(line) = line else { break };
             if tx.send(line).is_err() {
                 break;
@@ -709,7 +716,7 @@ where
         // responsive to the command stream).
         let wait_s = ((server.now() - target) / speed).clamp(0.01, 0.5);
         match rx.recv_timeout(Duration::from_secs_f64(wait_s)) {
-            Ok(line) => {
+            Ok(RequestLine::Text(line)) => {
                 if line.trim().is_empty() {
                     continue;
                 }
@@ -720,6 +727,7 @@ where
                     break true;
                 }
             }
+            Ok(RequestLine::Refused(reason)) => write_values(out, &[refusal(&reason)])?,
             Err(mpsc::RecvTimeoutError::Timeout) => continue,
             Err(mpsc::RecvTimeoutError::Disconnected) => break false,
         }

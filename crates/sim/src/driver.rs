@@ -64,12 +64,14 @@ use sia_cluster::{ClusterSpec, ClusterView, GpuTypeId, JobId, Placement};
 use sia_dynamics::{CapacityChange, DynamicsRuntime};
 use sia_events::{exp_sample, EventId, EventPayload, Kernel};
 use sia_models::{JobEstimator, ProfilingMode};
-use sia_telemetry::{AllocReason, AuditEvent, AuditRecorder, FlightRecorder, TraceEvent};
+use sia_telemetry::{
+    AllocReason, AuditEvent, AuditRecorder, Canonical, FlightRecorder, Recorder, TraceEvent,
+};
 use sia_workloads::JobSpec;
 
 use crate::engine::{
-    apply_allocations, assemble_result, evict_for_capacity, is_fallback, record_audit_round,
-    record_capacity, symmetric, JobState, SimConfig, Simulator,
+    apply_allocations, assemble_result, evict_for_capacity, is_fallback, open_recorder,
+    record_audit_round, record_capacity, symmetric, JobState, SimConfig, Simulator,
 };
 use crate::result::{DecisionInfo, RoundLog, SimResult};
 use crate::scheduler::{JobView, Scheduler};
@@ -389,8 +391,29 @@ impl SimDriver {
             trace: Vec::new(),
             cfg,
         };
-        let rec = sim.make_recorder(round);
-        let audit = sim.make_audit_recorder(sched.name(), round, sched.gap_tolerance());
+        let cfg = &sim.cfg;
+        let rec = open_recorder(
+            cfg.trace_capacity,
+            cfg.trace_spill.as_deref(),
+            "trace",
+            TraceEvent::Meta {
+                gpu_types: spec
+                    .gpu_types()
+                    .map(|t| spec.kind(t).name.clone())
+                    .collect(),
+                round_duration: round,
+            },
+        );
+        let audit = open_recorder(
+            cfg.audit_capacity,
+            cfg.audit_spill.as_deref(),
+            "audit",
+            AuditEvent::Meta {
+                scheduler: sched.name().to_string(),
+                round_duration: round,
+                gap_tolerance: sched.gap_tolerance().unwrap_or(0.0),
+            },
+        );
         let mut driver = SimDriver::assemble(sim, ClusterView::new(spec), round, rec, audit);
         if let Some(script) = &driver.sim.cfg.dynamics {
             let rt = DynamicsRuntime::new(script, &driver.view)
@@ -477,7 +500,7 @@ impl SimDriver {
     }
 
     /// Flight-recorder ring evictions so far (see
-    /// [`sia_telemetry::FlightRecorder::dropped`]).
+    /// [`sia_telemetry::Recorder::dropped`]).
     pub fn trace_dropped(&self) -> u64 {
         self.rec.dropped()
     }
@@ -638,7 +661,7 @@ impl SimDriver {
             &self.jobs,
             self.rounds,
             self.makespan,
-            self.rec.into_trace(),
+            self.rec.into_stream(),
             self.audit.into_stream(),
         )
     }
@@ -1107,18 +1130,8 @@ impl SimDriver {
             .iter()
             .map(|v| JobSpec::from_json(v).map_err(|e| format!("snapshot: bad pending job: {e}")))
             .collect::<Result<VecDeque<JobSpec>, String>>()?;
-        let rec = FlightRecorder::from_state(
-            payload
-                .get("trace_recorder")
-                .ok_or("snapshot: missing trace recorder")?,
-        )
-        .map_err(|e| format!("snapshot: bad trace recorder: {e}"))?;
-        let audit = AuditRecorder::from_state(
-            payload
-                .get("audit_recorder")
-                .ok_or("snapshot: missing audit recorder")?,
-        )
-        .map_err(|e| format!("snapshot: bad audit recorder: {e}"))?;
+        let rec = recorder_from_json(payload, "trace")?;
+        let audit = recorder_from_json(payload, "audit")?;
         if let Some(state) = payload.get("scheduler") {
             if !state.is_null() {
                 sched.import_state(state);
@@ -1219,6 +1232,15 @@ fn config_from_json(v: &Value) -> Result<SimConfig, String> {
         audit_spill: None,
         dynamics: None,
     })
+}
+
+/// Restores the `what` recorder (`trace` or `audit`) from the payload's
+/// `{what}_recorder` field.
+fn recorder_from_json<E: Canonical>(payload: &Value, what: &str) -> Result<Recorder<E>, String> {
+    let state = payload
+        .get(&format!("{what}_recorder"))
+        .ok_or_else(|| format!("snapshot: missing {what} recorder"))?;
+    Recorder::from_state(state).map_err(|e| format!("snapshot: bad {what} recorder: {e}"))
 }
 
 fn rng_from_json(v: &Value) -> Result<ChaCha8Rng, String> {

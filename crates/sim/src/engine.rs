@@ -2,7 +2,7 @@
 //! (admission, apply, execution model, recorders) that [`SimDriver`] runs.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -13,7 +13,8 @@ use sia_models::{
     Observation, ProfilingMode,
 };
 use sia_telemetry::{
-    AllocReason, AuditEvent, AuditRecorder, AuditStream, FlightRecorder, FlightTrace, TraceEvent,
+    AllocReason, AuditEvent, AuditRecorder, AuditStream, Canonical, FlightRecorder, FlightTrace,
+    Recorder, TraceEvent,
 };
 use sia_workloads::zoo::TrueModel;
 use sia_workloads::{Adaptivity, JobSpec, Trace};
@@ -189,66 +190,6 @@ impl Simulator {
         }
         driver.run_to_idle(sched);
         driver.finish(sched)
-    }
-
-    /// Opens this run's flight recorder (ring bound and spill per config)
-    /// and stamps the stream header.
-    pub(crate) fn make_recorder(&self, round: f64) -> FlightRecorder {
-        let mut rec = match &self.cfg.trace_spill {
-            Some(path) => {
-                FlightRecorder::with_spill(self.cfg.trace_capacity, path).unwrap_or_else(|e| {
-                    eprintln!(
-                        "warning: cannot open trace spill {}: {e}; recording in memory only",
-                        path.display()
-                    );
-                    FlightRecorder::new(self.cfg.trace_capacity)
-                })
-            }
-            None => FlightRecorder::new(self.cfg.trace_capacity),
-        };
-        rec.record(
-            0.0,
-            TraceEvent::Meta {
-                gpu_types: self
-                    .spec
-                    .gpu_types()
-                    .map(|t| self.spec.kind(t).name.clone())
-                    .collect(),
-                round_duration: round,
-            },
-        );
-        rec
-    }
-
-    /// Opens this run's audit recorder (ring bound and spill per config)
-    /// and stamps the stream's meta record.
-    pub(crate) fn make_audit_recorder(
-        &self,
-        scheduler: &str,
-        round: f64,
-        gap_tolerance: Option<f64>,
-    ) -> AuditRecorder {
-        let mut audit = match &self.cfg.audit_spill {
-            Some(path) => {
-                AuditRecorder::with_spill(self.cfg.audit_capacity, path).unwrap_or_else(|e| {
-                    eprintln!(
-                        "warning: cannot open audit spill {}: {e}; recording in memory only",
-                        path.display()
-                    );
-                    AuditRecorder::new(self.cfg.audit_capacity)
-                })
-            }
-            None => AuditRecorder::new(self.cfg.audit_capacity),
-        };
-        audit.record(
-            0.0,
-            AuditEvent::Meta {
-                scheduler: scheduler.to_string(),
-                round_duration: round,
-                gap_tolerance: gap_tolerance.unwrap_or(0.0),
-            },
-        );
-        audit
     }
 
     /// Builds a job's initial state (estimator per profiling mode, charging
@@ -720,6 +661,29 @@ pub(crate) fn is_fallback(stats: &Option<crate::result::SolverStats>) -> bool {
         Some(crate::result::SolveOutcome::LagrangianFallback)
             | Some(crate::result::SolveOutcome::GreedyFallback)
     )
+}
+
+/// Opens one of a run's recorders: a ring of `capacity` records, spilling
+/// to `spill` when set, with `meta` as its header record. A spill that
+/// cannot be opened is a warning (naming the `what` stream), and the run
+/// records in memory only.
+pub(crate) fn open_recorder<E: Canonical>(
+    capacity: usize,
+    spill: Option<&Path>,
+    what: &str,
+    meta: E,
+) -> Recorder<E> {
+    let mut rec = Recorder::new(capacity);
+    if let Some(path) = spill {
+        if let Err(e) = rec.attach_spill(path) {
+            eprintln!(
+                "warning: cannot open {what} spill {}: {e}; recording in memory only",
+                path.display()
+            );
+        }
+    }
+    rec.record(0.0, meta);
+    rec
 }
 
 /// Builds the final [`SimResult`] from terminal per-job state.

@@ -29,6 +29,7 @@
 
 pub mod audit;
 mod metrics;
+pub mod recorder;
 pub mod registry;
 mod sink;
 mod span;
@@ -38,6 +39,7 @@ pub use audit::{
     AuditEvent, AuditRecord, AuditRecorder, AuditReport, AuditStream, JobRegret, WorstRound,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary};
+pub use recorder::{Canonical, Record, Recorder, Stream};
 pub use sink::{disable, events_emitted, flush, init_jsonl, is_enabled, shutdown};
 pub use span::{span, SpanGuard};
 pub use trace::{

@@ -1,22 +1,15 @@
-//! The simulated-time flight recorder.
+//! The simulated-time flight recorder's events.
 //!
 //! Where the rest of `sia-telemetry` answers *where does the scheduler's
 //! host wall-clock go*, this module answers *what happened to job J inside
 //! the simulation, and why*: a typed per-job lifecycle event stream stamped
-//! with **simulated** time, recorded by both simulation engines through the
-//! same shared helpers so the two streams are comparable record-for-record.
+//! with **simulated** time.
 //!
-//! Three pieces:
+//! Two pieces on top of the generic [`Recorder`] and [`Stream`]:
 //!
-//! - [`FlightRecorder`] — the per-run recorder: a bounded in-memory ring
-//!   (always on; overflow drops the *oldest* records and counts them) plus
-//!   an optional full-fidelity JSONL spill file. The recorder is owned by
-//!   one engine run, so recording is plain mutation — no locks at all.
-//!   The spill is flushed on drop, so a run that panics mid-simulation
-//!   still leaves a parseable JSONL file behind.
-//! - [`FlightTrace`] — the recorded stream, attached to every `SimResult`.
-//!   Serializes to JSONL, parses back, canonicalizes for byte comparison,
-//!   and exports to the Chrome trace-event format (loadable in Perfetto /
+//! - [`TraceEvent`] — the event enum. [`FlightRecorder`] and
+//!   [`FlightTrace`] are the recorder and stream over it; the trace also
+//!   exports to the Chrome trace-event format (loadable in Perfetto /
 //!   `chrome://tracing`).
 //! - [`TraceReport`] — the derived per-job attribution view: queueing
 //!   delay, restart count/overhead, allocation churn, time on each GPU
@@ -25,8 +18,9 @@
 //!
 //! ## Stream schema (one JSON object per line)
 //!
-//! Every record carries `t` (simulated seconds), `seq` (per-run emission
-//! sequence) and `ev` (the kind). Kind-specific fields:
+//! Every record carries the [`crate::recorder`] envelope — `t` (simulated
+//! seconds), `seq` (per-run emission sequence) and `ev` (the kind).
+//! Kind-specific fields:
 //!
 //! ```json
 //! {"ev":"meta","gpu_types":["rtx","a100","t4"],"round_s":60.0,"t":0.0,"seq":0}
@@ -45,24 +39,21 @@
 //! [`AllocReason`] labels and `restart` flags whether the change preempted
 //! a running job (i.e. counts toward the job's restart total).
 //!
-//! ## Determinism and cross-engine identity
-//!
-//! All fields are simulation-determined except `round.policy_runtime_s`,
-//! which is host wall-clock, and the emission *order*, which reflects each
-//! engine's processing order (the round engine logs a completion when its
-//! execute scan discovers it; the event engine logs it when the completion
-//! event fires). [`FlightTrace::canonical_jsonl`] erases exactly these two
-//! artifacts — it zeroes `policy_runtime_s` and sorts records by
-//! `(t, kind-rank, job)` — and nothing else, so two same-seed runs, on the
-//! same engine or across engines (failures off), produce **byte-identical**
-//! canonical streams. `tests/engine_parity.rs` pins this.
+//! `round.policy_runtime_s` is host wall-clock, the stream's only such
+//! field; the canonical form ([`Stream::canonical_jsonl`]) zeroes it.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
+use std::collections::BTreeMap;
 
 use serde_json::{json, Value};
+
+use crate::recorder::{Canonical, Record, Recorder, Stream};
+
+/// One recorded flight-recorder event.
+pub type FlightRecord = Record<TraceEvent>;
+/// The per-run flight recorder: bounded ring plus optional JSONL spill.
+pub type FlightRecorder = Recorder<TraceEvent>;
+/// A recorded flight-recorder stream (the in-memory ring contents).
+pub type FlightTrace = Stream<TraceEvent>;
 
 /// Why an allocation changed. Stable labels appear in the JSONL stream and
 /// in `trace-report` output.
@@ -249,9 +240,8 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// Stable kind label (the `ev` field of the JSONL schema).
-    pub fn kind(&self) -> &'static str {
+impl Canonical for TraceEvent {
+    fn kind(&self) -> &'static str {
         match self {
             TraceEvent::Meta { .. } => "meta",
             TraceEvent::JobSubmitted { .. } => "submitted",
@@ -270,8 +260,7 @@ impl TraceEvent {
         }
     }
 
-    /// The job this event concerns, if any.
-    pub fn job(&self) -> Option<u64> {
+    fn job(&self) -> Option<u64> {
         match *self {
             TraceEvent::JobSubmitted { job, .. }
             | TraceEvent::JobAdmitted { job }
@@ -317,23 +306,9 @@ impl TraceEvent {
             TraceEvent::JobCancelled { .. } => 13,
         }
     }
-}
 
-/// One recorded event: simulated timestamp, emission sequence, payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightRecord {
-    /// Simulated time, seconds.
-    pub t: f64,
-    /// Per-run emission sequence number (0-based, gap-free).
-    pub seq: u64,
-    /// The typed event.
-    pub ev: TraceEvent,
-}
-
-impl FlightRecord {
-    /// Serializes to the JSONL schema.
-    pub fn to_value(&self) -> Value {
-        let mut v = match &self.ev {
+    fn payload(&self) -> Value {
+        match self {
             TraceEvent::Meta {
                 gpu_types,
                 round_duration,
@@ -411,35 +386,16 @@ impl FlightRecord {
                 "nodes": *nodes as u64,
                 "factor": *factor,
             }),
-        };
-        if let Value::Object(m) = &mut v {
-            m.insert("ev".into(), json!(self.ev.kind()));
-            m.insert("t".into(), json!(self.t));
-            m.insert("seq".into(), json!(self.seq));
         }
-        v
     }
 
-    /// Parses one JSONL record.
-    pub fn from_value(v: &Value) -> Result<FlightRecord, String> {
-        let kind = v
-            .get("ev")
-            .and_then(Value::as_str)
-            .ok_or("record missing \"ev\"")?;
-        let t = v
-            .get("t")
-            .and_then(Value::as_f64)
-            .ok_or("record missing \"t\"")?;
-        let seq = v
-            .get("seq")
-            .and_then(Value::as_u64)
-            .ok_or("record missing \"seq\"")?;
+    fn from_payload(kind: &str, v: &Value) -> Result<Self, String> {
         let job = |field: &str| -> Result<u64, String> {
             v.get(field)
                 .and_then(Value::as_u64)
                 .ok_or_else(|| format!("{kind} record missing \"{field}\""))
         };
-        let ev = match kind {
+        Ok(match kind {
             "meta" => TraceEvent::Meta {
                 gpu_types: v
                     .get("gpu_types")
@@ -518,232 +474,17 @@ impl FlightRecord {
                 factor: v.get("factor").and_then(Value::as_f64).unwrap_or(1.0),
             },
             other => return Err(format!("unknown record kind {other:?}")),
-        };
-        Ok(FlightRecord { t, seq, ev })
-    }
-}
-
-/// The JSONL spill sink of a [`FlightRecorder`]. Flushed on drop so a
-/// panicking run still leaves complete lines behind.
-#[derive(Debug)]
-struct Spill {
-    w: BufWriter<File>,
-}
-
-impl Drop for Spill {
-    fn drop(&mut self) {
-        let _ = self.w.flush();
-    }
-}
-
-/// The per-run flight recorder: bounded ring plus optional JSONL spill.
-///
-/// Always on and owned by exactly one engine run — recording is a couple of
-/// branches and a `VecDeque` push, with no synchronization. When the ring is
-/// full the *oldest* record is dropped (and counted); the spill file, when
-/// attached, keeps full fidelity regardless of the ring bound.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    ring: VecDeque<FlightRecord>,
-    capacity: usize,
-    seq: u64,
-    dropped: u64,
-    spill: Option<Spill>,
-}
-
-impl FlightRecorder {
-    /// A recorder keeping at most `capacity` records in memory.
-    pub fn new(capacity: usize) -> Self {
-        FlightRecorder {
-            ring: VecDeque::new(),
-            capacity,
-            seq: 0,
-            dropped: 0,
-            spill: None,
-        }
-    }
-
-    /// Attaches a full-fidelity JSONL spill file (truncating `path`).
-    pub fn with_spill(capacity: usize, path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        let mut rec = FlightRecorder::new(capacity);
-        rec.spill = Some(Spill {
-            w: BufWriter::new(file),
-        });
-        Ok(rec)
-    }
-
-    /// Attaches a full-fidelity JSONL spill file (truncating `path`) to an
-    /// existing recorder — e.g. one restored from a snapshot. Only records
-    /// emitted from this point onward land in the file.
-    pub fn attach_spill(&mut self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let file = File::create(path)?;
-        self.spill = Some(Spill {
-            w: BufWriter::new(file),
-        });
-        Ok(())
-    }
-
-    /// Serializes the recorder state — ring contents, sequence counter,
-    /// drop count and capacity — for a daemon snapshot. The spill sink is
-    /// not part of the state; re-attach one after restoring.
-    pub fn export_state(&self) -> Value {
-        json!({
-            "capacity": self.capacity as u64,
-            "seq": self.seq,
-            "dropped": self.dropped,
-            "records": self.ring.iter().map(FlightRecord::to_value).collect::<Vec<_>>(),
         })
     }
 
-    /// Rebuilds a recorder from [`FlightRecorder::export_state`] output.
-    /// The restored recorder continues the sequence exactly where the
-    /// exported one stopped; no spill is attached.
-    pub fn from_state(v: &Value) -> Result<Self, String> {
-        let capacity = v
-            .get("capacity")
-            .and_then(Value::as_u64)
-            .ok_or("recorder state missing \"capacity\"")? as usize;
-        let seq = v
-            .get("seq")
-            .and_then(Value::as_u64)
-            .ok_or("recorder state missing \"seq\"")?;
-        let dropped = v
-            .get("dropped")
-            .and_then(Value::as_u64)
-            .ok_or("recorder state missing \"dropped\"")?;
-        let mut ring = VecDeque::new();
-        for rv in v
-            .get("records")
-            .and_then(Value::as_array)
-            .ok_or("recorder state missing \"records\"")?
-        {
-            ring.push_back(FlightRecord::from_value(rv)?);
-        }
-        if ring.len() > capacity {
-            return Err("recorder state holds more records than its capacity".into());
-        }
-        Ok(FlightRecorder {
-            ring,
-            capacity,
-            seq,
-            dropped,
-            spill: None,
-        })
-    }
-
-    /// Records one event at simulated time `t_sim`.
-    pub fn record(&mut self, t_sim: f64, ev: TraceEvent) {
-        let rec = FlightRecord {
-            t: t_sim,
-            seq: self.seq,
-            ev,
-        };
-        self.seq += 1;
-        if let Some(s) = &mut self.spill {
-            let _ = writeln!(s.w, "{}", rec.to_value());
-        }
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(rec);
-    }
-
-    /// Number of records currently held in memory.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether nothing has been recorded (or everything was dropped).
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Records evicted from the ring so far (the spill, if attached,
-    /// still has them). Nonzero means the in-memory trace is partial.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Finishes the run: flushes the spill and returns the recorded stream.
-    pub fn into_trace(mut self) -> FlightTrace {
-        if let Some(s) = &mut self.spill {
-            let _ = s.w.flush();
-        }
-        FlightTrace {
-            records: std::mem::take(&mut self.ring).into(),
-            dropped: self.dropped,
+    fn zero_wall_clock(&mut self) {
+        if let TraceEvent::RoundScheduled { policy_runtime, .. } = self {
+            *policy_runtime = 0.0;
         }
     }
 }
 
-/// A recorded flight-recorder stream (the in-memory ring contents).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FlightTrace {
-    /// Records in emission order.
-    pub records: Vec<FlightRecord>,
-    /// Records evicted from the ring (0 unless the run outgrew the bound;
-    /// the JSONL spill, if one was attached, still has them).
-    pub dropped: u64,
-}
-
-impl FlightTrace {
-    /// Serializes the stream in emission order, one JSON object per line.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for r in &self.records {
-            out.push_str(&r.to_value().to_string());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Canonical serialization for byte-for-byte comparison: records sorted
-    /// by `(t, kind-rank, job)`, `seq` renumbered in that order, and the
-    /// host-wall-clock `policy_runtime_s` zeroed. Two same-seed runs — on
-    /// either engine, or across engines with failures off — produce
-    /// identical canonical streams.
-    pub fn canonical_jsonl(&self) -> String {
-        let mut sorted: Vec<FlightRecord> = self.records.clone();
-        sorted.sort_by(|a, b| {
-            a.t.total_cmp(&b.t)
-                .then(a.ev.rank().cmp(&b.ev.rank()))
-                .then(a.ev.job().unwrap_or(0).cmp(&b.ev.job().unwrap_or(0)))
-        });
-        let mut out = String::new();
-        for (i, mut r) in sorted.into_iter().enumerate() {
-            r.seq = i as u64;
-            if let TraceEvent::RoundScheduled { policy_runtime, .. } = &mut r.ev {
-                *policy_runtime = 0.0;
-            }
-            out.push_str(&r.to_value().to_string());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses a JSONL stream (e.g. a spill file) back into a trace.
-    pub fn parse_jsonl(text: &str) -> Result<FlightTrace, String> {
-        let mut records = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let v: Value = serde_json::from_str(line)
-                .map_err(|e| format!("line {}: invalid JSON: {e}", i + 1))?;
-            records.push(FlightRecord::from_value(&v).map_err(|e| format!("line {}: {e}", i + 1))?);
-        }
-        Ok(FlightTrace {
-            records,
-            dropped: 0,
-        })
-    }
-
+impl Stream<TraceEvent> {
     /// GPU type name table from the meta record (empty if absent).
     pub fn gpu_types(&self) -> Vec<String> {
         for r in &self.records {
@@ -1425,7 +1166,7 @@ mod tests {
                 restart: false,
             },
         );
-        rec.into_trace()
+        rec.into_stream()
     }
 
     #[test]
@@ -1450,21 +1191,6 @@ mod tests {
             !trace.canonical_jsonl().contains("0.002"),
             "canonical form must zero the wall-clock field"
         );
-    }
-
-    #[test]
-    fn ring_bounds_and_counts_drops() {
-        let mut rec = FlightRecorder::new(3);
-        for i in 0..10 {
-            rec.record(i as f64, TraceEvent::JobAdmitted { job: i });
-        }
-        assert_eq!(rec.len(), 3);
-        let trace = rec.into_trace();
-        assert_eq!(trace.dropped, 7);
-        assert_eq!(trace.records.len(), 3);
-        // The *newest* records survive.
-        assert_eq!(trace.records[0].ev, TraceEvent::JobAdmitted { job: 7 });
-        assert_eq!(trace.records[2].seq, 9);
     }
 
     #[test]
@@ -1511,24 +1237,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_state_round_trips_and_resumes_sequence() {
-        let mut rec = FlightRecorder::new(4);
-        for i in 0..7 {
-            rec.record(i as f64, TraceEvent::JobAdmitted { job: i });
-        }
-        rec.record(7.0, TraceEvent::JobCancelled { job: 3 });
-        let state = rec.export_state();
-        let mut back = FlightRecorder::from_state(&state).unwrap();
-        // The restored recorder continues where the original stopped.
-        rec.record(8.0, TraceEvent::JobCompleted { job: 0 });
-        back.record(8.0, TraceEvent::JobCompleted { job: 0 });
-        let (a, b) = (rec.into_trace(), back.into_trace());
-        assert_eq!(a, b);
-        assert_eq!(a.dropped, 5);
-        assert_eq!(a.records.last().unwrap().seq, 8);
-    }
-
-    #[test]
     fn cancelled_round_trips_and_reports() {
         let mut rec = FlightRecorder::new(64);
         rec.record(
@@ -1567,7 +1275,7 @@ mod tests {
                 restart: false,
             },
         );
-        let trace = rec.into_trace();
+        let trace = rec.into_stream();
         let parsed = FlightTrace::parse_jsonl(&trace.to_jsonl()).unwrap();
         assert_eq!(parsed.records, trace.records);
         let report = trace.report();
@@ -1578,31 +1286,5 @@ mod tests {
             j.alloc_changes, 1,
             "the cancellation release is not churn, like completion"
         );
-    }
-
-    #[test]
-    fn spill_survives_panic_via_drop() {
-        let path = std::env::temp_dir().join(format!(
-            "sia-trace-spill-panic-{}.jsonl",
-            std::process::id()
-        ));
-        let p = path.clone();
-        let handle = std::thread::spawn(move || {
-            let mut rec = FlightRecorder::with_spill(16, &p).unwrap();
-            rec.record(
-                0.0,
-                TraceEvent::Meta {
-                    gpu_types: vec!["t4".into()],
-                    round_duration: 60.0,
-                },
-            );
-            rec.record(1.0, TraceEvent::JobAdmitted { job: 0 });
-            panic!("simulated crash mid-run");
-        });
-        assert!(handle.join().is_err(), "the run must have panicked");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        let parsed = FlightTrace::parse_jsonl(&text).expect("spill parses after a panic");
-        assert_eq!(parsed.records.len(), 2);
     }
 }

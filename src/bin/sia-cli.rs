@@ -92,7 +92,7 @@ use sia::core::SiaPolicy;
 use sia::metrics::{ftf_ratios, summarize, unfair_fraction, worst_ftf};
 use sia::models::ProfilingMode;
 use sia::sim::{Scheduler, SimConfig, Simulator};
-use sia::telemetry::{AuditReport, AuditStream, FlightTrace};
+use sia::telemetry::{AuditEvent, AuditReport, Canonical, Stream, TraceEvent};
 use sia::workloads::{Trace, TraceConfig, TraceKind};
 
 /// Options that take a value.
@@ -452,6 +452,19 @@ fn main() {
     sia::telemetry::shutdown();
 }
 
+/// Reads and parses a recorded JSONL stream. An unreadable or malformed
+/// file is a usage error: one line on stderr, exit 2.
+fn read_stream<E: Canonical>(path: &str) -> Stream<E> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        std::process::exit(2);
+    });
+    Stream::parse_jsonl(&text).unwrap_or_else(|e| {
+        eprintln!("{path}: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// `sia-cli trace-report FILE [--audit FILE] [--json] [--quiet]`: analyse
 /// a recorded flight-recorder JSONL stream. Never returns.
 fn trace_report(argv: &[String]) -> ! {
@@ -491,39 +504,12 @@ fn trace_report(argv: &[String]) -> ! {
     };
     // Solver-health sidebar: load the audit stream up-front so a bad path
     // is a usage error, not a post-report surprise.
-    let audit_summary: Option<AuditReport> = audit_file.map(|path| {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        match AuditStream::parse_jsonl(&text) {
-            Ok(s) => s.report(),
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    });
+    let audit_summary: Option<AuditReport> =
+        audit_file.map(|path| read_stream::<AuditEvent>(path).report());
     if !quiet {
         eprintln!("reading {file} ...");
     }
-    let text = match std::fs::read_to_string(file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {file}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let trace = match FlightTrace::parse_jsonl(&text) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{file}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let trace = read_stream::<TraceEvent>(file);
     if !quiet {
         eprintln!("parsed {} records", trace.records.len());
     }
@@ -731,20 +717,7 @@ fn audit_report(argv: &[String]) -> ! {
     if !quiet {
         eprintln!("reading {file} ...");
     }
-    let text = match std::fs::read_to_string(file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {file}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let stream = match AuditStream::parse_jsonl(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{file}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let stream = read_stream::<AuditEvent>(file);
     if !quiet {
         eprintln!("parsed {} records", stream.records.len());
     }

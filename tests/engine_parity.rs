@@ -14,7 +14,7 @@ use sia::baselines::{GavelPolicy, PolluxPolicy};
 use sia::cluster::ClusterSpec;
 use sia::core::{SiaConfig, SiaPolicy};
 use sia::sim::{Scheduler, SimConfig, SimDriver, SimResult, Simulator};
-use sia::telemetry::TraceEvent;
+use sia::telemetry::{Canonical, TraceEvent};
 use sia::workloads::{Trace, TraceConfig, TraceKind};
 
 type Make<'a> = &'a dyn Fn() -> Box<dyn Scheduler>;

@@ -1,7 +1,8 @@
 //! End-to-end tests for the `sia-serve` daemon and its CLI surface:
 //! replay parity with the batch run, snapshot/kill/restore losslessness
-//! through the real binary, hostile input (deep JSON nesting, jobs no GPU
-//! type can hold), the drain log, the `trace-to-stream` converter, and the
+//! through the real binary, hostile input (deep JSON nesting, a zero
+//! pinned batch, an over-long line, a non-UTF-8 line, jobs no GPU type
+//! can hold), the drain log, the `trace-to-stream` converter, and the
 //! mutually-exclusive-flag exit codes.
 
 use std::io::Write;
@@ -11,7 +12,9 @@ use serde_json::Value;
 use sia::cluster::ClusterSpec;
 use sia::core::SiaPolicy;
 use sia::sim::{SimConfig, Simulator};
-use sia::workloads::{trace_to_stream_jsonl, StreamOptions, Trace, TraceConfig, TraceKind};
+use sia::workloads::{
+    trace_to_stream_jsonl, Adaptivity, StreamOptions, Trace, TraceConfig, TraceKind,
+};
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_sia-cli"))
@@ -37,7 +40,7 @@ fn serve_with_input(args: &[&str], lines: &str) -> (std::process::ExitStatus, St
 }
 
 /// Runs `sia-cli serve` with `lines` on stdin and returns its full output.
-fn serve_output(args: &[&str], lines: &str) -> std::process::Output {
+fn serve_output(args: &[&str], lines: impl AsRef<[u8]>) -> std::process::Output {
     let mut child = cli()
         .arg("serve")
         .args(args)
@@ -50,7 +53,7 @@ fn serve_output(args: &[&str], lines: &str) -> std::process::Output {
         .stdin
         .take()
         .unwrap()
-        .write_all(lines.as_bytes())
+        .write_all(lines.as_ref())
         .expect("write stream");
     child.wait_with_output().expect("serve run")
 }
@@ -250,6 +253,91 @@ fn serve_answers_deeply_nested_json_with_one_error() {
             .and_then(Value::as_str),
         Some("shutdown")
     );
+}
+
+/// Asserts a serve run exited 0, answered its `q` query and its `bye`
+/// shutdown, and gave exactly one `ok:false` answer, which it returns.
+fn one_error_and_served_on(out: &std::process::Output) -> Value {
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let values = values(&out.stdout);
+    let errors: Vec<&Value> = values
+        .iter()
+        .filter(|v| v.get("ok") == Some(&Value::Bool(false)))
+        .collect();
+    assert_eq!(errors.len(), 1, "{values:?}");
+    assert_eq!(response(&values, "q").get("ok"), Some(&Value::Bool(true)));
+    assert_eq!(
+        response(&values, "bye")
+            .get("event")
+            .and_then(Value::as_str),
+        Some("shutdown")
+    );
+    errors[0].clone()
+}
+
+/// The typed reason of a refused request line.
+fn reason(v: &Value) -> &str {
+    v.get("reason").and_then(Value::as_str).unwrap_or_default()
+}
+
+#[test]
+fn serve_rejects_a_zero_batch_submit_instead_of_dying() {
+    // Admitted, this job panics the next round ("invalid batch limits").
+    let mut trace = small_trace(1);
+    trace.jobs[0].adaptivity = Adaptivity::StrongScaling { batch_size: 0.0 };
+    let mut stream = trace_to_stream_jsonl(
+        &trace,
+        &StreamOptions {
+            shutdown: false,
+            ..StreamOptions::default()
+        },
+    );
+    stream.push_str(
+        "{\"id\":\"q\",\"cmd\":\"query\",\"at\":400}\n{\"id\":\"bye\",\"cmd\":\"shutdown\"}\n",
+    );
+    let audit_out = tmp("zero_batch_audit.jsonl");
+    let out = serve_output(
+        &["--quiet", "--audit-out", audit_out.to_str().unwrap()],
+        &stream,
+    );
+    let rejected = one_error_and_served_on(&out);
+    assert_eq!(
+        rejected.get("event").and_then(Value::as_str),
+        Some("rejected")
+    );
+    assert!(reason(&rejected).starts_with("invalid-spec"), "{rejected}");
+    let audit = std::fs::read_to_string(&audit_out).unwrap();
+    std::fs::remove_file(&audit_out).ok();
+    let admissions: Vec<&str> = audit
+        .lines()
+        .filter(|l| l.contains("\"ev\":\"admission\""))
+        .collect();
+    assert_eq!(admissions.len(), 1, "{audit}");
+    assert!(admissions[0].contains("\"reason\":\"invalid-spec\""));
+}
+
+#[test]
+fn serve_refuses_an_over_long_line_and_reads_on() {
+    let mut input = b"{\"id\":\"q\",\"cmd\":\"query\"}\n".to_vec();
+    input.resize(input.len() + sia::serve::MAX_LINE_BYTES + 1, b'x');
+    input.extend_from_slice(b"\n{\"id\":\"bye\",\"cmd\":\"shutdown\"}\n");
+    let error = one_error_and_served_on(&serve_output(&["--quiet"], input));
+    assert_eq!(error.get("event").and_then(Value::as_str), Some("error"));
+    assert!(reason(&error).starts_with("line-too-long"), "{error}");
+}
+
+#[test]
+fn serve_refuses_a_non_utf8_line_and_reads_on() {
+    let input =
+        b"{\"id\":\"q\",\"cmd\":\"query\"}\n\xff\xfe\n{\"id\":\"bye\",\"cmd\":\"shutdown\"}\n";
+    let error = one_error_and_served_on(&serve_output(&["--quiet"], input));
+    assert_eq!(error.get("event").and_then(Value::as_str), Some("error"));
+    assert!(reason(&error).starts_with("bad-utf8"), "{error}");
 }
 
 #[test]

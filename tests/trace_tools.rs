@@ -212,7 +212,7 @@ fn tiny_stream() -> String {
             restart: false,
         },
     );
-    rec.into_trace().to_jsonl()
+    rec.into_stream().to_jsonl()
 }
 
 fn cli() -> Command {
